@@ -7,10 +7,8 @@ multi-rank solves with telemetry-counted halo traffic); this wrapper runs it,
 prints the measured behaviours and checks the expected shapes:
 
 * the iteration error after a fixed number of inners grows with the rank
-  count,
-* the halo traffic grows with the rank count (and is zero on one rank), and
-* the KBA pipeline model predicts the idle time the block Jacobi schedule
-  avoids.
+  count, and
+* the halo traffic grows with the rank count (and is zero on one rank).
 """
 
 import pytest
@@ -19,7 +17,6 @@ from repro.analysis.reporting import format_table
 from repro.bench import BenchWorkload
 from repro.bench.registry import get_benchmark
 from repro.bench.suite import run_case
-from repro.parallel.kba import KBAPipelineModel
 
 
 @pytest.fixture(scope="module")
@@ -72,17 +69,3 @@ def test_halo_traffic_grows_with_rank_count(case_report):
     messages = [s.metrics["halo_messages"] for s in case_report.samples]
     assert messages[0] == 0
     assert all(b >= a for a, b in zip(messages, messages[1:]))
-
-
-def test_kba_pipeline_idle_time_model(case_report):
-    rows = []
-    for sample in case_report.samples:
-        px, py = (int(v) for v in sample.name.split("x"))
-        model = KBAPipelineModel(npex=px, npey=py, num_planes=8)
-        rows.append((sample.name, round(model.parallel_efficiency(), 3),
-                     round(model.idle_fraction(), 3)))
-    print()
-    print(format_table(("rank grid", "KBA efficiency", "KBA idle fraction"), rows,
-                       title="KBA pipeline model (the idle time block Jacobi avoids)"))
-    assert rows[0][1] == 1.0
-    assert rows[-1][2] > rows[0][2]

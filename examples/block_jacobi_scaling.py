@@ -6,8 +6,8 @@ processor-to-processor coupling: every rank sweeps its own KBA-column
 subdomain concurrently with lagged halo data, at the cost of a convergence
 rate that degrades as the number of Jacobi blocks grows.  This example runs
 the same problem on a sequence of rank grids with the in-process simulated
-MPI substrate and prints the measured convergence histories, the halo-exchange
-traffic and the KBA pipeline idle time the schedule avoids.
+MPI substrate and prints the measured convergence histories and the
+halo-exchange traffic.
 
 Run with:  python examples/block_jacobi_scaling.py
 """
@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.analysis.reporting import format_scaling_series, format_table
 from repro.config import ProblemSpec
-from repro.parallel.kba import KBAPipelineModel
 from repro.runner import run
 
 
@@ -62,18 +61,6 @@ def main() -> None:
         ("rank grid", "halo messages", "bytes exchanged", "wall seconds"),
         traffic_rows,
         title="Halo-exchange traffic per solve",
-    ))
-
-    print()
-    rows = []
-    for npex, npey in rank_grids:
-        model = KBAPipelineModel(npex=npex, npey=npey, num_planes=spec.nz * 4)
-        rows.append((f"{npex}x{npey}", round(model.parallel_efficiency(), 3),
-                     round(model.relative_sweep_time(), 2)))
-    print(format_table(
-        ("rank grid", "KBA busy fraction", "KBA sweep time vs ideal"),
-        rows,
-        title="KBA pipeline model: the idle time the block-Jacobi schedule avoids",
     ))
     print(
         "\nThe block-Jacobi schedule keeps every rank busy from the first sweep\n"

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..registry import Registry
+from ..registry import Registry, first_doc_line
 
 __all__ = [
     "BenchCase",
@@ -100,12 +100,11 @@ def register_benchmark(
     """Class/function decorator registering a benchmark case under ``name``."""
 
     def decorator(func: Callable) -> Callable:
-        doc = (func.__doc__ or "").strip().splitlines()
         case = BenchCase(
             name=name.strip().lower(),
             func=func,
             tags=tuple(tag.strip().lower() for tag in tags),
-            description=description if description is not None else (doc[0] if doc else ""),
+            description=description if description is not None else first_doc_line(func),
         )
         _benchmarks.add(name, case, aliases=aliases, overwrite=overwrite)
         return func
@@ -113,18 +112,14 @@ def register_benchmark(
     return decorator
 
 
-def get_benchmark(name: str) -> BenchCase:
-    """Look up a registered case by canonical name or alias."""
-    return _benchmarks.resolve(name)
-
-
-def available_benchmarks() -> list[str]:
-    """Sorted canonical names of every registered benchmark case."""
-    return _benchmarks.available()
+#: Look up a registered case by canonical name or alias.
+get_benchmark = _benchmarks.resolve
+#: Sorted canonical names of every registered benchmark case.
+available_benchmarks = _benchmarks.available
 
 
 def benchmark_listing() -> list[tuple[str, str, str]]:
-    """``(name, aliases, description)`` rows for ``unsnap bench --list``."""
+    """``(name, comma-joined tags, description)`` rows for ``unsnap bench --list``."""
     return [
         (name, ", ".join(f"{tag}" for tag in _benchmarks.resolve(name).tags), desc)
         for name, _aliases, desc in _benchmarks.listing()

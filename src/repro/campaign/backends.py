@@ -13,28 +13,29 @@ the same decorator pattern::
     class MyQueueBackend:
         \"\"\"One-line description shown by ``unsnap backends``.\"\"\"
 
-        def execute(self, items, *, jobs=None):
-            ...
+        def execute_iter(self, items, *, jobs=None):
+            for item in items:
+                yield item.index, run_somewhere(item)
 
-Backend contract (v2)
----------------------
+Backend contract
+----------------
 Work arrives as :class:`~repro.campaign.workitem.WorkItem`\\ s (the shared
 frozen payload carrying spec, run options, study index and cost estimate;
 :func:`~repro.campaign.workitem.as_work_items` also adapts
-:class:`~repro.campaign.study.StudyPoint`\\ s).  A backend implements one or
-both of:
+:class:`~repro.campaign.study.StudyPoint`\\ s).  A backend implements
 
-``execute(items, *, jobs=None) -> Iterable[RunResult]``
-    The v1 contract: one result per item, *in input order* (may be lazy).
 ``execute_iter(items, *, jobs=None) -> Iterator[tuple]``
-    The v2 streaming contract: yields ``(index, result)`` -- or
-    ``(index, result, meta)`` with a JSON-safe execution-metadata mapping
-    (``worker_id``, ``attempts``, ``queue_wait_seconds``...) -- **as runs
-    complete, in any order**.  :func:`repro.run_study` reorders and feeds
-    its ``on_result`` progress callback from this stream.
+    yielding ``(index, result)`` -- or ``(index, result, meta)`` with a
+    JSON-safe execution-metadata mapping (``worker_id``, ``attempts``,
+    ``queue_wait_seconds``...) -- **as runs complete, in any order**, exactly
+    once per item.  :func:`repro.run_study` reorders the stream, feeds its
+    ``on_result`` progress callback from it and rejects unknown, repeated
+    or missing indices.
 
-A backend providing only ``execute`` is wrapped automatically
-(:func:`iter_backend_results`), so the v1 contract keeps working unchanged.
+The earlier in-order ``execute(items) -> Iterable[RunResult]`` contract (v1)
+is retired: an object providing only ``execute`` is rejected at
+:func:`register_backend` / :func:`get_backend` with an error naming
+``execute_iter``.
 
 Built-in backends
 -----------------
@@ -58,7 +59,7 @@ Built-in backends
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 from ..registry import Registry
 from ..runner import RunResult
@@ -83,82 +84,42 @@ __all__ = [
 class ExecutionBackend(Protocol):
     """Protocol every execution backend implements."""
 
-    def execute(
+    def execute_iter(
         self, items: Sequence, *, jobs: int | None = None
-    ) -> Iterable[RunResult]:
-        """Run every item and return their results *in the same order*.
+    ) -> Iterator[tuple]:
+        """Run every item, yielding ``(index, result[, meta])`` as runs complete.
 
         ``items`` are :class:`~repro.campaign.workitem.WorkItem`\\ s (or any
-        shape :func:`~repro.campaign.workitem.as_work_items` adapts).  The
-        return value may be lazy (a generator): :func:`repro.run_study`
-        consumes it one result at a time and persists each to the result
-        store as it arrives, so completed runs survive a mid-study failure.
-        A plain list satisfies the contract too.  ``jobs`` caps the worker
-        count for concurrent backends (``None`` means the executor's
-        default); serial backends ignore it.
+        shape :func:`~repro.campaign.workitem.as_work_items` adapts).
+        :func:`repro.run_study` consumes the stream one result at a time and
+        persists each to the result store as it arrives, so completed runs
+        survive a mid-study failure.  ``jobs`` caps the worker count for
+        concurrent backends (``None`` means the executor's default); serial
+        backends ignore it.
         """
         ...  # pragma: no cover
 
 
-_BACKENDS: Registry[ExecutionBackend] = Registry("backend")
+_BACKENDS: Registry[ExecutionBackend] = Registry(
+    "backend",
+    method="execute_iter",
+    hint="the in-order execute() contract (v1) is retired: yield "
+    "(index, result[, meta]) per item from execute_iter(items, *, jobs=None)",
+)
 
-#: Sentinel distinguishing "stream exhausted" from any real result.
-_NO_RESULT = object()
-
-
-def register_backend(
-    name: str,
-    *,
-    description: str | None = None,
-    aliases: tuple[str, ...] = (),
-    overwrite: bool = False,
-):
-    """Class (or instance) decorator registering an execution backend."""
-
-    def decorate(obj):
-        backend = obj() if isinstance(obj, type) else obj
-        if not callable(getattr(backend, "execute", None)):
-            raise TypeError(
-                f"backend {name!r} must implement execute(items, *, jobs=None); "
-                f"got {type(backend)!r}"
-            )
-        backend.name = name.strip().lower()
-        backend.description = description or next(
-            iter((backend.__doc__ or "").strip().splitlines()), ""
-        )
-        _BACKENDS.add(backend.name, backend, aliases=aliases, overwrite=overwrite)
-        return obj
-
-    return decorate
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend (and its aliases) from the registry."""
-    _BACKENDS.remove(name)
-
-
-def available_backends() -> list[str]:
-    """Names of all registered backends (aliases excluded)."""
-    return _BACKENDS.available()
-
-
-def backend_aliases(name: str) -> list[str]:
-    """Aliases registered for the given backend name."""
-    return _BACKENDS.aliases_of(name)
-
-
-def backend_listing() -> list[tuple[str, str, str]]:
-    """``(name, aliases, description)`` rows for ``unsnap backends``."""
-    return _BACKENDS.listing()
-
-
-def get_backend(backend: ExecutionBackend | str) -> ExecutionBackend:
-    """Resolve a backend instance from a name, alias or instance."""
-    if not isinstance(backend, str):
-        if callable(getattr(backend, "execute", None)):
-            return backend
-        raise TypeError(f"not an execution backend: {backend!r}")
-    return _BACKENDS.resolve(backend)
+#: ``@register_backend(name, *, description=None, aliases=(), overwrite=False)``
+#: -- class (or instance) decorator; see :meth:`repro.registry.Registry.register`.
+register_backend = _BACKENDS.register
+#: Remove a backend (and its aliases) from the registry.
+unregister_backend = _BACKENDS.remove
+#: Resolve a backend instance from a name, alias or instance.
+get_backend = _BACKENDS.get
+#: Names of all registered backends (aliases excluded).
+available_backends = _BACKENDS.available
+#: Aliases registered for the given backend name.
+backend_aliases = _BACKENDS.aliases_of
+#: ``(name, aliases, description)`` rows for ``unsnap backends``.
+backend_listing = _BACKENDS.listing
 
 
 def iter_backend_results(
@@ -167,35 +128,16 @@ def iter_backend_results(
     *,
     jobs: int | None = None,
 ) -> Iterator[tuple[int, RunResult, dict]]:
-    """Stream ``(index, result, meta)`` triples from any backend.
+    """Stream normalised ``(index, result, meta)`` triples from a backend.
 
-    The v2 entry point :func:`repro.run_study` consumes: backends providing
-    ``execute_iter`` stream natively (out of completion order, with optional
-    per-run metadata); plain ``execute`` backends are wrapped automatically
-    -- their in-order results are zipped back onto the items, with the
-    result count enforced (a short or surplus stream raises
-    ``RuntimeError`` naming the backend).
+    The entry point :func:`repro.run_study` consumes: adapts the items to
+    :class:`WorkItem`\\ s and pads ``(index, result)`` events with an empty
+    ``meta``.
     """
-    items = as_work_items(items)
-    execute_iter = getattr(backend, "execute_iter", None)
-    if callable(execute_iter):
-        for event in execute_iter(items, jobs=jobs):
-            index, result, *rest = event
-            meta = dict(rest[0]) if rest and rest[0] is not None else {}
-            yield int(index), result, meta
-        return
-    stream = iter(backend.execute(items, jobs=jobs))
-    executed = 0
-    for item, result in zip(items, stream):
-        executed += 1
-        yield item.index, result, {}
-    surplus = next(stream, _NO_RESULT)
-    if executed != len(items) or surplus is not _NO_RESULT:
-        returned = f"> {executed}" if surplus is not _NO_RESULT else str(executed)
-        raise RuntimeError(
-            f"backend {getattr(backend, 'name', backend)!r} returned "
-            f"{returned} results for {len(items)} runs"
-        )
+    for event in backend.execute_iter(as_work_items(items), jobs=jobs):
+        index, result, *rest = event
+        meta = dict(rest[0]) if rest and rest[0] is not None else {}
+        yield int(index), result, meta
 
 
 def _execute_point(payload) -> RunResult:
@@ -222,31 +164,22 @@ def _clamp_jobs(jobs: int | None, num_items: int) -> int | None:
 class SerialBackend:
     """One run after another in the calling process."""
 
-    def execute(
+    def execute_iter(
         self, items: Sequence, *, jobs: int | None = None
-    ) -> Iterable[RunResult]:
-        return (_execute_point(item) for item in as_work_items(items))
+    ) -> Iterator[tuple[int, RunResult]]:
+        for item in as_work_items(items):
+            yield item.index, _execute_point(item)
 
 
 class _PoolBackend:
     """Shared body of the thread/process pool backends.
 
-    ``execute`` preserves input order (``Executor.map``); ``execute_iter``
-    streams ``(index, result)`` in completion order (``as_completed``) --
-    both over the same per-item :func:`_execute_point` payloads, so the two
-    paths are bit-for-bit identical.
+    Streams ``(index, result)`` in completion order (``as_completed``) over
+    the same per-item :func:`_execute_point` payloads ``serial`` runs, so
+    the results are bit-for-bit identical.
     """
 
     _executor_cls: type
-
-    def execute(
-        self, items: Sequence, *, jobs: int | None = None
-    ) -> Iterable[RunResult]:
-        items = as_work_items(items)
-        if not items:
-            return
-        with self._executor_cls(max_workers=_clamp_jobs(jobs, len(items))) as pool:
-            yield from pool.map(_execute_point, items)
 
     def execute_iter(
         self, items: Sequence, *, jobs: int | None = None

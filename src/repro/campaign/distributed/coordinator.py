@@ -1,8 +1,8 @@
 """The ``distributed`` execution backend: coordinator side of the spool.
 
 The coordinator turns a batch of :class:`~repro.campaign.workitem.
-WorkItem`\\ s into spool jobs and streams completions back as the v2
-``execute_iter`` contract.  It owns the campaign-level policy:
+WorkItem`\\ s into spool jobs and streams completions back through the
+``execute_iter`` backend contract.  It owns the campaign-level policy:
 
 * **store short-circuit** -- points already present in the spool's shared
   :class:`~repro.campaign.store.ResultStore` are yielded immediately
@@ -39,7 +39,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ...obs.trace import current_trace
 from ...runner import RunResult
@@ -163,17 +163,7 @@ class DistributedBackend:
         self.heartbeat_seconds = heartbeat_seconds
         self.telemetry = telemetry
 
-    # ----------------------------------------------------------- v1 contract
-    def execute(self, items: Sequence, *, jobs: int | None = None) -> Iterable[RunResult]:
-        """Execute every item and return results in input order (v1 shape)."""
-        items = as_work_items(items)
-        slot = {item.index: position for position, item in enumerate(items)}
-        results: list = [None] * len(items)
-        for index, result, _meta in self.execute_iter(items, jobs=jobs):
-            results[slot[index]] = result
-        return results
-
-    # ----------------------------------------------------------- v2 contract
+    # ------------------------------------------------------- backend contract
     def execute_iter(
         self, items: Sequence, *, jobs: int | None = None
     ) -> Iterator[tuple[int, RunResult, dict]]:

@@ -24,8 +24,8 @@ __all__ = ["StudyRun", "StudyResult", "PivotTable"]
 class StudyRun:
     """One executed (or cache-loaded) run of a study.
 
-    :attr:`meta` is the backend's per-run execution metadata (v2 streaming
-    contract): the ``distributed`` backend reports ``worker_id``,
+    :attr:`meta` is the backend's per-run execution metadata (third element
+    of an ``execute_iter`` event): the ``distributed`` backend reports ``worker_id``,
     ``attempts`` and ``queue_wait_seconds`` per point, so a re-executed
     straggler (dead worker, expired lease) is visible in the study records.
     Empty for backends that report none.

@@ -22,11 +22,11 @@ in declaration order::
 Re-invoking the same study against the same store executes zero new runs
 (``result.new_run_count == 0``) and merges the stored results back in.
 
-Backends supporting the v2 streaming contract (``execute_iter``, see
-:mod:`repro.campaign.backends`) deliver results *as they complete, out of
-order*; ``run_study`` reorders them and invokes the optional ``on_result``
-progress callback per completed run, so a million-point campaign reports
-progress without waiting for the slowest shard.
+Backends (``execute_iter``, see :mod:`repro.campaign.backends`) deliver
+results *as they complete, out of order*; ``run_study`` reorders them and
+invokes the optional ``on_result`` progress callback per completed run, so a
+million-point campaign reports progress without waiting for the slowest
+shard.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def run_study(
         Optional progress callback invoked once per run with its
         :class:`~repro.campaign.result.StudyRun` **in completion order**
         (store-cached runs first, then fresh runs as the backend yields
-        them -- which for v2 streaming backends is not study order).  The
+        them -- which for concurrent backends is not study order).  The
         returned :class:`StudyResult` is always in declaration order
         regardless.
     """
@@ -102,8 +102,7 @@ def run_study(
     # Consume the backend's completion stream one run at a time, persisting
     # each as it arrives: if a later run fails or the study is interrupted,
     # every completed run is already in the store and the re-invocation
-    # resumes from there.  v2 backends stream out of order; v1 backends are
-    # wrapped by iter_backend_results and arrive in input order.
+    # resumes from there.  The stream may arrive in any order.
     if pending:
         point_by_index = {point.index: point for point in pending}
         items = [

@@ -3,10 +3,10 @@
 For each angular direction the sweep follows the direction's bucket schedule;
 how the buckets are executed is delegated to a pluggable *sweep engine*
 (:mod:`repro.engines`): the ``reference`` engine runs the per-element
-assemble/solve loop of the paper's Figure 2 pseudocode, the ``vectorized``
-engine batch-assembles and batch-solves whole buckets.  In both cases the
-assemble and solve phases are timed separately to reproduce the split of
-Table II.
+assemble/solve loop of the paper's Figure 2 pseudocode, while ``vectorized``,
+``prefactorized`` and ``compiled`` share one batched bucket loop and differ
+in how a bucket's systems are built and solved.  Every engine times its
+assemble and solve phases separately to reproduce the split of Table II.
 
 Boundary handling:
 
@@ -115,8 +115,9 @@ class SweepExecutor:
     solver:
         Local solver instance or registry name (``"ge"`` / ``"lapack"``).
     engine:
-        Sweep engine instance or registry name (``"reference"`` /
-        ``"vectorized"``; see :mod:`repro.engines`).
+        Sweep engine instance or registry name (``"reference"``,
+        ``"vectorized"``, ``"prefactorized"``, ``"compiled"`` or any
+        :func:`repro.engines.register_engine`-ed name).
     halo_faces:
         Optional ``(n_halo, >=2)`` array whose first two columns are
         ``(cell, face)`` pairs owned by other ranks; outgoing traces on these
@@ -372,10 +373,6 @@ class SweepExecutor:
                     f"got {angular_source.shape}"
                 )
 
-        scalar = np.zeros(expected, dtype=float)
-        leakage = np.zeros(num_groups, dtype=float)
-        timings = AssemblyTimings()
-        outgoing_halo: dict[tuple[int, int, int], np.ndarray] = {}
         bank = (
             AngularFluxBank.zeros(num_elements, self.quadrature.num_angles, num_groups, num_nodes)
             if self.store_angular_flux
@@ -397,33 +394,29 @@ class SweepExecutor:
                 )
             futures = [
                 self._octant_pool.submit(
-                    self._sweep_octant,
+                    self._sweep_angles,
                     octant_angles, total_source, boundary_values, incident, bank,
                     angular_source,
                 )
                 for octant_angles in octants
             ]
-            partials = [f.result() for f in futures]
-            for part_scalar, part_leakage, part_halo, part_timings in partials:
+            scalar = np.zeros(expected, dtype=float)
+            leakage = np.zeros(num_groups, dtype=float)
+            timings = AssemblyTimings()
+            outgoing_halo: dict[tuple[int, int, int], np.ndarray] = {}
+            for future in futures:
+                part_scalar, part_leakage, part_halo, part_timings = future.result()
                 scalar += part_scalar
                 leakage += part_leakage
                 outgoing_halo.update(part_halo)
-                timings.assembly_seconds += part_timings.assembly_seconds
-                timings.solve_seconds += part_timings.solve_seconds
-                timings.systems_solved += part_timings.systems_solved
+                timings = timings.merge(part_timings)
         else:
-            for octant_angles in octants:
-                for angle in octant_angles.tolist():
-                    psi_angle = self._sweep_one_angle(
-                        angle, total_source, boundary_values, incident, timings,
-                        angular_source,
-                    )
-                    weight = self.quadrature.weights[angle]
-                    scalar += weight * psi_angle
-                    leakage += weight * self._boundary_leakage(angle, psi_angle, incident)
-                    self._collect_halo(angle, psi_angle, outgoing_halo)
-                    if bank is not None:
-                        bank.psi[:, angle] = psi_angle
+            # One partial over every angle, octant by octant: the serial
+            # reduction is angle by angle, not per-octant partial sums.
+            scalar, leakage, outgoing_halo, timings = self._sweep_angles(
+                np.concatenate(octants), total_source, boundary_values, incident, bank,
+                angular_source,
+            )
 
         return SweepResult(
             scalar_flux=scalar,
@@ -433,31 +426,33 @@ class SweepExecutor:
             angular_flux=bank,
         )
 
-    # ----------------------------------------------------------- one octant
-    def _sweep_octant(
+    # ------------------------------------------------------- a run of angles
+    def _sweep_angles(
         self,
-        octant_angles: np.ndarray,
+        angles: np.ndarray,
         total_source: np.ndarray,
         boundary_values: BoundaryValues | None,
         incident: float,
         bank: AngularFluxBank | None,
         angular_source: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, dict, AssemblyTimings]:
-        """Sweep one octant's angles and return its partial reductions.
+        """Sweep ``angles`` in order and return their partial reductions.
 
-        Runs on an octant worker thread: every accumulator is thread-local
-        (angles are processed in quadrature order) and the angular-flux bank
-        slots of different angles are disjoint, so concurrent octants never
-        write the same memory.
+        The whole quadrature on the serial path, one octant on an octant
+        worker thread: every accumulator is local to the call and the
+        angular-flux bank slots of different angles are disjoint, so
+        concurrent octants never write the same memory.
         """
         timings = AssemblyTimings()
         scalar = np.zeros((self.mesh.num_cells, self.num_groups, self.num_nodes), dtype=float)
         leakage = np.zeros(self.num_groups, dtype=float)
         outgoing_halo: dict[tuple[int, int, int], np.ndarray] = {}
-        for angle in octant_angles.tolist():
-            psi_angle = self._sweep_one_angle(
-                angle, total_source, boundary_values, incident, timings,
-                angular_source,
+        for angle in angles.tolist():
+            source = (
+                total_source if angular_source is None else total_source + angular_source[angle]
+            )
+            psi_angle = self.engine.sweep_angle(
+                self, angle, source, boundary_values, incident, timings
             )
             weight = self.quadrature.weights[angle]
             scalar += weight * psi_angle
@@ -466,23 +461,6 @@ class SweepExecutor:
             if bank is not None:
                 bank.psi[:, angle] = psi_angle
         return scalar, leakage, outgoing_halo, timings
-
-    # ----------------------------------------------------------- single angle
-    def _sweep_one_angle(
-        self,
-        angle: int,
-        total_source: np.ndarray,
-        boundary_values: BoundaryValues | None,
-        incident: float,
-        timings: AssemblyTimings,
-        angular_source: np.ndarray | None = None,
-    ) -> np.ndarray:
-        source = (
-            total_source if angular_source is None else total_source + angular_source[angle]
-        )
-        return self.engine.sweep_angle(
-            self, angle, source, boundary_values, incident, timings
-        )
 
     # ------------------------------------------------------------ diagnostics
     def _boundary_leakage(self, angle: int, psi_angle: np.ndarray, incident: float) -> np.ndarray:

@@ -30,41 +30,16 @@ __all__ = [
 ]
 
 
-def _describe(driver) -> str:
-    doc = getattr(driver, "__doc__", None) or ""
-    return doc.strip().splitlines()[0] if doc.strip() else ""
+DRIVERS = Registry("driver", method="__call__")
 
-
-DRIVERS = Registry("driver", describe=_describe)
-
-
-def register_driver(name: str, *, aliases: tuple[str, ...] = (), overwrite: bool = False):
-    """Class/function decorator registering an outer-loop driver.
-
-    The decorated object must be callable with the driver signature (see
-    :mod:`repro.drivers.base`).  Returns the object unchanged so modules can
-    register their public API in place.
-    """
-
-    def decorator(driver):
-        if not callable(driver):
-            raise TypeError(f"driver {name!r} must be callable")
-        DRIVERS.add(name, driver, aliases=aliases, overwrite=overwrite)
-        return driver
-
-    return decorator
-
-
-def get_driver(name: str):
-    """Resolve a driver by registry name or alias."""
-    return DRIVERS.resolve(name)
-
-
-def available_drivers() -> tuple[str, ...]:
-    """Canonical names of every registered driver."""
-    return DRIVERS.available()
-
-
-def driver_listing() -> dict[str, dict]:
-    """Name -> {description, aliases} mapping for CLI listings."""
-    return DRIVERS.listing()
+#: ``@register_driver(name, *, aliases=(), overwrite=False)`` -- function (or
+#: class) decorator; the decorated object must be callable with the driver
+#: signature (see :mod:`repro.drivers.base`) and is returned unchanged so
+#: modules can register their public API in place.
+register_driver = DRIVERS.register
+#: Resolve a driver by registry name or alias.
+get_driver = DRIVERS.resolve
+#: Sorted canonical names of every registered driver.
+available_drivers = DRIVERS.available
+#: ``(name, aliases, description)`` rows for ``unsnap drivers``.
+driver_listing = DRIVERS.listing

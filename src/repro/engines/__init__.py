@@ -11,9 +11,14 @@ Built-in engines
 ``reference``
     The per-element assemble/solve loop of the paper's Figure 2 pseudocode
     (aliases: ``loop``, ``per-element``).
+
+The other three share one bucket loop
+(:class:`~repro.engines.batched.BatchedSweepEngine`) and differ only in its
+two hooks -- how a bucket's entry is built and how the bucket is solved:
+
 ``vectorized``
     Batch-assembles and batch-solves all elements of a wavefront bucket at
-    once (aliases: ``vec``, ``batched``).
+    once, rebuilding everything each sweep (aliases: ``vec``, ``batched``).
 ``prefactorized``
     LU-factorises every bucket batch once per (angle, bucket) and reuses
     the cached factors across all inner/outer iterations, re-assembling
@@ -42,9 +47,8 @@ from .registry import (
 # compiled package self-guards: it registers only when a JIT provider is
 # importable and otherwise records the reason for get_engine's error.
 from . import compiled  # noqa: F401
-from .prefactorized import PrefactorizedSweepEngine
+from .batched import BatchedSweepEngine
 from .reference import ReferenceSweepEngine
-from .vectorized import VectorizedSweepEngine
 
 __all__ = [
     "SweepEngine",
@@ -57,6 +61,5 @@ __all__ = [
     "engine_descriptions",
     "engine_listing",
     "ReferenceSweepEngine",
-    "VectorizedSweepEngine",
-    "PrefactorizedSweepEngine",
+    "BatchedSweepEngine",
 ]

@@ -11,22 +11,8 @@ work to its engine.
 Engines are stateless objects registered by name through
 :func:`repro.engines.register_engine`; the executor (and therefore
 :func:`repro.run`, the input deck and the ``unsnap`` CLI) selects one by name.
-Four engines ship with the package:
-
-* ``reference`` -- the per-element loop of the paper's Figure 2 pseudocode,
-  optionally threaded over the independent elements of a wavefront bucket;
-* ``vectorized`` -- batch-assembles and batch-solves *all* elements of a
-  bucket at once through stacked einsum contractions and
-  ``LocalSolver.solve_batched`` over ``(B*G, N, N)`` systems;
-* ``prefactorized`` -- like ``vectorized`` but LU-factorises every bucket
-  batch once and reuses the factors across all inner/outer iterations
-  (paper Section IV-B.1);
-* ``compiled`` -- the prefactorized strategy driven through a JIT-compiled
-  bucket kernel (numba or a cffi-built C translation).  It is a *soft*
-  tier: the engine registers only when a provider is available, and is
-  otherwise absent from the registry with an actionable
-  :func:`repro.engines.get_engine` error (see
-  :mod:`repro.engines.compiled`).
+The built-ins -- ``reference``, and ``vectorized`` / ``prefactorized`` /
+``compiled`` on one shared bucket loop -- are listed in :mod:`repro.engines`.
 
 Factor-cache lifecycle
 ----------------------
@@ -74,7 +60,8 @@ class SweepEngine(Protocol):
     Attributes
     ----------
     name:
-        Registry key, e.g. ``"reference"`` or ``"vectorized"``.
+        Registry key, e.g. ``"reference"`` or ``"prefactorized"``; caching
+        engines namespace their factor-cache keys with it.
     description:
         Human-readable description used by reports and ``unsnap engines``.
     """

@@ -1,22 +1,66 @@
-"""Shared batched per-bucket assembly used by the vectorized-family engines.
+"""The batched sweep engine: the one bucket loop behind every fast engine.
 
 All elements of a wavefront bucket are mutually independent and their upwind
 neighbours live in *earlier* buckets, so the whole bucket can be assembled
-with stacked einsum contractions: the ``(B, G, N, N)`` left-hand sides, the
-``(B, G, N)`` volumetric right-hand sides and the upwind face couplings.
-The ``vectorized`` engine rebuilds everything per sweep; the
-``prefactorized`` engine reuses :func:`assemble_bucket_matrices` once per
-(angle, bucket) to build the systems it LU-factorises and caches, and calls
-:func:`assemble_bucket_rhs` every sweep with the cached interior couplings.
+with stacked einsum contractions -- the ``(B, G, N, N)`` left-hand sides, the
+``(B, G, N)`` volumetric right-hand sides and the upwind face couplings --
+and solved as one ``(B*G, N, N)`` batch: the NumPy analogue of the paper's
+batched local solves (Section IV-B).  The reference engine instead pays
+CPython interpreter overhead for every element of every bucket.
+
+The paper varies *how a bucket's local systems are solved* over one fixed
+sweep loop (Figure 2), and so does :class:`BatchedSweepEngine`: its
+``sweep_angle`` owns the only bucket loop outside ``reference`` -- cache
+keying, hit/miss counting, bucket sampling and the assemble/solve split of
+Table II -- and delegates exactly two steps:
+
+``build_entry``
+    the (angle, bucket) invariants -- everything that depends only on the
+    mesh geometry, the ordinate direction and the total cross sections, none
+    of which change across the inner/outer iterations of a solve;
+``solve_bucket``
+    this sweep's right-hand sides and the solve into ``psi_angle``.
+
+Three registered engines share the loop:
+
+* ``vectorized`` (``keep_factors=False``) rebuilds the entry every sweep and
+  solves it one-shot through ``LocalSolver.solve_batched``; it caches
+  nothing and emits no hit/miss counters.
+* ``prefactorized`` (``keep_factors=True``, paper Section IV-B.1)
+  LU-factorises each bucket batch once, keeps the packed factors and the
+  equally invariant interior couplings in the executor's factor cache, and
+  on every later sweep only assembles the right-hand sides and runs the
+  ``O(N^2)`` triangular substitutions.  The memory cost is the cached
+  factors, ``E * A * G * N^2`` doubles across the whole quadrature -- the
+  same memory-for-time trade the paper discusses for pre-assembled matrices.
+  The factor/solve pair comes from the local solver when it provides one
+  (``LocalSolver.factor_batched`` / ``solve_factored``; both built-ins do),
+  so ``prefactorized`` + ``ge`` reproduces the one-shot elimination bit for
+  bit while ``lapack`` keeps its distinct roundings on each name; solvers
+  without the pair fall back to the hand-written batched LU.
+* ``compiled`` (:mod:`repro.engines.compiled`) subclasses the engine and
+  overrides both hooks with a packed entry and a fused JIT kernel call.
+
+Equivalence with the reference engine is exact up to floating-point
+associativity (the property tests assert agreement to ~1e-12).  The cache
+lives on the executor (:attr:`SweepExecutor.factor_cache`), not on the
+engine -- engines are stateless shared instances -- and follows the
+factor-cache lifecycle described in :mod:`repro.engines.base`.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..mesh.hexmesh import BOUNDARY
+from ..solvers.prefactor import batched_gaussian_lu_factor, batched_gaussian_lu_solve
+from ..telemetry import active
+from .registry import register_engine
 
 __all__ = [
+    "BatchedSweepEngine",
     "assemble_bucket_matrices",
     "interior_upwind_couplings",
     "assemble_bucket_rhs",
@@ -53,6 +97,11 @@ def assemble_bucket_matrices(executor, direction, orient, bucket) -> np.ndarray:
     )
 
 
+def _omega_dot(direction, face_matrices) -> np.ndarray:
+    """``Omega . F`` for a ``(K, 3, N, N)`` stack of per-axis face matrices."""
+    return np.einsum("d,kdij->kij", direction, face_matrices, optimize=True)
+
+
 def interior_upwind_couplings(
     executor, direction, orient, bucket
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -77,12 +126,7 @@ def interior_upwind_couplings(
         if not np.any(interior):
             continue
         idx = np.nonzero(interior)[0]
-        coupling = np.einsum(
-            "d,kdij->kij",
-            direction,
-            executor.matrices.face_neighbor[bucket[idx], face],
-            optimize=True,
-        )
+        coupling = _omega_dot(direction, executor.matrices.face_neighbor[bucket[idx], face])
         couplings[face] = (idx, neighbors[idx], coupling)
     return couplings
 
@@ -90,29 +134,26 @@ def interior_upwind_couplings(
 def assemble_bucket_rhs(
     executor,
     angle,
-    direction,
     orient,
     bucket,
     psi_angle,
     total_source,
     boundary_values,
     incident,
-    interior=None,
+    interior,
 ) -> np.ndarray:
     """Assemble the ``(B, G, N)`` right-hand sides of one wavefront bucket.
 
     Volumetric source first, then per face the interior upwind couplings
-    (``psi`` of earlier buckets is final) and the domain-boundary inflow
+    (``psi`` of earlier buckets is final; ``interior`` is the bucket's
+    :func:`interior_upwind_couplings` result) and the domain-boundary inflow
     terms: lagged block-Jacobi traces where present, otherwise the incident
-    boundary flux.  ``interior`` takes a precomputed
-    :func:`interior_upwind_couplings` result (the ``prefactorized`` cache);
-    when ``None`` the couplings are built on the fly.
+    boundary flux.
     """
     mesh = executor.mesh
     matrices = executor.matrices
     have_lagged = boundary_values is not None and len(boundary_values) > 0
-    if interior is None:
-        interior = interior_upwind_couplings(executor, direction, orient, bucket)
+    direction = executor.quadrature.directions[angle]
 
     b = np.einsum("egj,eij->egi", total_source[bucket], matrices.mass[bucket], optimize=True)
     for face in range(6):
@@ -147,22 +188,143 @@ def assemble_bucket_rhs(
                 incident_local.append(k)
         if lagged_local:
             sel = np.asarray(lagged_local, dtype=np.int64)
-            coupling = np.einsum(
-                "d,kdij->kij",
-                direction,
-                matrices.face_neighbor[bucket[sel], face],
-                optimize=True,
-            )
+            coupling = _omega_dot(direction, matrices.face_neighbor[bucket[sel], face])
             traces = np.stack(lagged_traces, axis=0)  # (K, G, N)
             b[sel] -= np.einsum("kgj,kij->kgi", traces, coupling, optimize=True)
         if incident_local:
             sel = np.asarray(incident_local, dtype=np.int64)
-            coupling = np.einsum(
-                "d,kdij->kij",
-                direction,
-                matrices.face_own[bucket[sel], face],
-                optimize=True,
-            )
+            coupling = _omega_dot(direction, matrices.face_own[bucket[sel], face])
             # Incident flux is constant over the face: psi = incident.
             b[sel] -= incident * coupling.sum(axis=2)[:, None, :]
     return b
+
+
+def _factor_pair(solver):
+    """The solver's factor-once/solve-many pair, or the hand-written batched LU."""
+    if getattr(solver, "supports_prefactorisation", False):
+        return solver.factor_batched, solver.solve_factored
+    return batched_gaussian_lu_factor, batched_gaussian_lu_solve
+
+
+class BatchedSweepEngine:
+    """One bucket loop, two hooks: build the (angle, bucket) entry, solve the bucket.
+
+    Parameters
+    ----------
+    keep_factors:
+        Whether the entry is LU-factorised and kept in
+        ``executor.factor_cache`` across sweeps (``prefactorized``) or
+        rebuilt and solved one-shot every sweep (``vectorized``).  Fixed at
+        registration -- the two names are two instances of this class.
+    """
+
+    #: Engines sharing a ``bitwise_family`` assemble and solve the same
+    #: stacked systems in the same order, so the conformance matrix
+    #: (:mod:`repro.verify.conformance`) asserts their fluxes equal *bit for
+    #: bit* whenever the solver's factored path is exact
+    #: (``LocalSolver.prefactorisation_exact``).
+    bitwise_family = "batched"
+
+    def __init__(self, keep_factors: bool):
+        self.keep_factors = bool(keep_factors)
+
+    def sweep_angle(self, executor, angle, total_source, boundary_values, incident, timings):
+        direction = executor.quadrature.directions[angle]
+        asched = executor.schedule.for_angle(angle)
+        orientation = asched.classification.orientation  # (E, 6)
+        num_groups = executor.num_groups
+        psi_angle = np.zeros(
+            (executor.mesh.num_cells, num_groups, executor.num_nodes), dtype=float
+        )
+        cache = executor.factor_cache if self.keep_factors else None
+        # Keys are namespaced by the registered engine name so distinct
+        # engines sharing one executor can never read each other's entries.
+        name = getattr(self, "name", "batched")
+        tel = active(getattr(executor, "telemetry", None))
+        sampler = None if tel is None else tel.bucket_sampler()
+
+        for index, bucket in enumerate(asched.buckets):
+            # The sampled bucket time reuses the stamps taken for the
+            # assemble/solve split -- the rate-0 path is byte-identical to
+            # the uninstrumented loop.
+            sample = sampler is not None and sampler.want()
+            orient = orientation[bucket]  # (B, 6)
+            entry = None
+            if cache is not None:
+                key = (name, angle, index)
+                entry = cache.get(key)
+                if tel is not None:
+                    tel.incr("factor_cache_misses" if entry is None else "factor_cache_hits")
+            start = built = time.perf_counter()
+            if entry is None:
+                # The invariant assembly is booked as assembly time, the
+                # elimination (if any) as solve time: it is the LU of the
+                # one-shot solve.
+                entry, assembled = self.build_entry(executor, direction, orient, bucket)
+                built = time.perf_counter()
+                timings.assembly_seconds += assembled - start
+                timings.solve_seconds += built - assembled
+                if cache is not None:
+                    cache[key] = entry
+            assembled = self.solve_bucket(
+                executor, angle, entry, orient, bucket, psi_angle,
+                total_source, boundary_values, incident,
+            )
+            end = time.perf_counter()
+            timings.assembly_seconds += assembled - built
+            timings.solve_seconds += end - assembled
+            systems = bucket.shape[0] * num_groups
+            timings.systems_solved += systems
+            if sample:
+                sampler.record(end - start, systems)
+        return psi_angle
+
+    def build_entry(self, executor, direction, orient, bucket):
+        """Assemble the bucket's invariant systems and interior couplings.
+
+        Returns ``(entry, stamp)``: the ``(systems, interior)`` pair --
+        ``systems`` LU-factorised when factors are kept, the plain stacked
+        ``(B*G, N, N)`` matrices otherwise -- and the ``perf_counter`` stamp
+        at which assembly ended and the elimination began.
+        """
+        num_nodes = executor.num_nodes
+        systems = assemble_bucket_matrices(executor, direction, orient, bucket).reshape(
+            -1, num_nodes, num_nodes
+        )
+        interior = interior_upwind_couplings(executor, direction, orient, bucket)
+        stamp = time.perf_counter()
+        if self.keep_factors:
+            systems = _factor_pair(executor.solver)[0](systems)
+        return (systems, interior), stamp
+
+    def solve_bucket(
+        self, executor, angle, entry, orient, bucket, psi_angle,
+        total_source, boundary_values, incident,
+    ):
+        """Assemble this sweep's right-hand sides and solve into ``psi_angle``.
+
+        Returns the ``perf_counter`` stamp at which assembly ended and the
+        solve began.
+        """
+        systems, interior = entry
+        rhs = assemble_bucket_rhs(
+            executor, angle, orient, bucket, psi_angle,
+            total_source, boundary_values, incident, interior,
+        )
+        stamp = time.perf_counter()
+        solver = executor.solver
+        solve = _factor_pair(solver)[1] if self.keep_factors else solver.solve_batched
+        psi_angle[bucket] = solve(systems, rhs.reshape(-1, executor.num_nodes)).reshape(rhs.shape)
+        return stamp
+
+
+register_engine(
+    "vectorized",
+    aliases=("vec", "batched"),
+    description="Batched per-bucket assembly and dense solve (stacked (B*G, N, N) systems).",
+)(BatchedSweepEngine(keep_factors=False))
+register_engine(
+    "prefactorized",
+    aliases=("lu", "prefactor", "factor-cache"),
+    description="Cached per-bucket LU factors; sweeps only assemble RHS and back-substitute.",
+)(BatchedSweepEngine(keep_factors=True))

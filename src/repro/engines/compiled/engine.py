@@ -9,14 +9,13 @@ couplings reading ``psi`` of earlier buckets, and run the pivoted
 forward/backward substitutions -- all in one pass over preallocated
 contiguous arrays, no temporaries, no interpreter in the loop.
 
-The engine follows the executor's factor-cache lifecycle exactly like
-``prefactorized``: entries live in :attr:`SweepExecutor.factor_cache` under
-``(engine_name, angle, bucket_index)`` keys, are rebuilt on a miss (the
-one-time assembly + LU factorisation, against the executor's *current*
-cross sections) and are dropped by ``invalidate_factor_cache`` /
-``update_materials`` / ``set_engine``.  Under a factor-cache budget the
-evicted entries are transparently recomputed on the next sweep -- the
-kernel never sees a stale factor.
+The engine is a :class:`~repro.engines.batched.BatchedSweepEngine` with
+kept factors: the bucket loop, cache keying and hit/miss counting are the
+shared ones, and this module supplies only the two hooks -- the packed
+entry build and the fused / solve-only kernel call.  It therefore follows
+the executor's factor-cache lifecycle (:mod:`repro.engines.base`) exactly
+like ``prefactorized``; entries invalidated or spilled under a budget are
+rebuilt on the next miss, so the kernel never sees a stale factor.
 
 The boundary path (incident flux or lagged block-Jacobi traces) reuses the
 numpy :func:`~repro.engines.batched.assemble_bucket_rhs` for the irregular
@@ -40,8 +39,8 @@ import time
 import numpy as np
 
 from ...solvers.prefactor import batched_gaussian_lu_factor
-from ...telemetry import active
 from ..batched import (
+    BatchedSweepEngine,
     assemble_bucket_matrices,
     assemble_bucket_rhs,
     interior_upwind_couplings,
@@ -53,7 +52,7 @@ __all__ = ["CompiledSweepEngine"]
 
 
 @register_engine("compiled", aliases=("jit", "native"))
-class CompiledSweepEngine:
+class CompiledSweepEngine(BatchedSweepEngine):
     """Fused JIT bucket kernel over cached packed LU factors (numba or cffi)."""
 
     #: Own family: the fused kernel fixes its own reduction order, so
@@ -61,6 +60,7 @@ class CompiledSweepEngine:
     bitwise_family = "compiled"
 
     def __init__(self):
+        super().__init__(keep_factors=True)
         provider = select_provider()
         if provider is None:
             raise RuntimeError(
@@ -69,13 +69,18 @@ class CompiledSweepEngine:
         self._provider = provider
         self.provider_name = provider.name
 
-    def _build_entry(self, executor, direction, orient, bucket, timings):
+    def sweep_angle(self, executor, angle, total_source, boundary_values, incident, timings):
+        # Kernel inputs must be packed; do it once per angle, not per bucket.
+        return super().sweep_angle(
+            executor, angle, as_contiguous_f64(total_source), boundary_values, incident, timings
+        )
+
+    def build_entry(self, executor, direction, orient, bucket):
         """Assemble, factor and pack one (angle, bucket) cache entry."""
         num_groups = executor.num_groups
         num_nodes = executor.num_nodes
         batch = bucket.shape[0]
 
-        t0 = time.perf_counter()
         a = assemble_bucket_matrices(executor, direction, orient, bucket)
         interior = interior_upwind_couplings(executor, direction, orient, bucket)
         # Pack the per-face coupling dict into flat kernel arrays.  cpl_src
@@ -97,14 +102,11 @@ class CompiledSweepEngine:
             cpl_pos = np.empty(0, dtype=np.int64)
             cpl_src = np.empty(0, dtype=np.int64)
             cpl_mat = np.empty((0, num_nodes, num_nodes), dtype=np.float64)
-        t1 = time.perf_counter()
+        stamp = time.perf_counter()
         lu, piv = batched_gaussian_lu_factor(
             a.reshape(batch * num_groups, num_nodes, num_nodes)
         )
-        t2 = time.perf_counter()
-        timings.assembly_seconds += t1 - t0
-        timings.solve_seconds += t2 - t1
-        return {
+        entry = {
             "bucket": as_contiguous_i64(bucket),
             "mass": as_contiguous_f64(executor.matrices.mass[bucket]),
             "cpl_pos": cpl_pos,
@@ -115,67 +117,34 @@ class CompiledSweepEngine:
             "interior": interior,
             "rhs": np.empty((batch, num_groups, num_nodes), dtype=np.float64),
         }
+        return entry, stamp
 
-    def sweep_angle(self, executor, angle, total_source, boundary_values, incident, timings):
-        mesh = executor.mesh
-        direction = executor.quadrature.directions[angle]
-        asched = executor.schedule.for_angle(angle)
-        orientation = asched.classification.orientation  # (E, 6)
-        num_groups = executor.num_groups
-        num_nodes = executor.num_nodes
-        kernel = self._provider.kernel()
-        cache = executor.factor_cache
-        tel = active(getattr(executor, "telemetry", None))
-        sampler = None if tel is None else tel.bucket_sampler()
-
-        psi_angle = np.zeros((mesh.num_cells, num_groups, num_nodes), dtype=np.float64)
-        source = as_contiguous_f64(total_source)
+    def solve_bucket(
+        self, executor, angle, entry, orient, bucket, psi_angle,
+        total_source, boundary_values, incident,
+    ):
+        """One kernel call: fused assemble + solve, or solve-only on the boundary path."""
         have_lagged = boundary_values is not None and len(boundary_values) > 0
-        # Vacuum interior sweep: the kernel assembles and solves; boundary
-        # terms fall back to the shared numpy RHS assembly + solve-only.
-        fused = not have_lagged and incident == 0.0
-
-        for index, bucket in enumerate(asched.buckets):
-            batch = bucket.shape[0]
-            orient = orientation[bucket]  # (B, 6)
-            key = (getattr(self, "name", "compiled"), angle, index)
-            entry = cache.get(key)
-            if tel is not None:
-                tel.incr("factor_cache_misses" if entry is None else "factor_cache_hits")
-            if entry is None:
-                entry = cache[key] = self._build_entry(
-                    executor, direction, orient, bucket, timings
+        if have_lagged or incident != 0.0:
+            # Boundary terms fall back to the shared numpy RHS assembly and
+            # the kernel only substitutes.
+            rhs = as_contiguous_f64(
+                assemble_bucket_rhs(
+                    executor, angle, orient, bucket, psi_angle,
+                    total_source, boundary_values, incident, entry["interior"],
                 )
-
-            sample = sampler is not None and sampler.want()
-            t0 = time.perf_counter()
-            if fused:
-                t1 = t0
-                kernel(
-                    entry["bucket"], entry["mass"], source,
-                    entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"],
-                    entry["lu"], entry["piv"], entry["rhs"], 1, psi_angle,
-                )
-                t2 = time.perf_counter()
-            else:
-                rhs = assemble_bucket_rhs(
-                    executor, angle, direction, orient, bucket, psi_angle,
-                    total_source, boundary_values, incident,
-                    interior=entry["interior"],
-                )
-                t1 = time.perf_counter()
-                kernel(
-                    entry["bucket"], entry["mass"], source,
-                    entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"],
-                    entry["lu"], entry["piv"], as_contiguous_f64(rhs), 0, psi_angle,
-                )
-                t2 = time.perf_counter()
-            # The fused kernel does not separate assembly from solve; its
-            # whole time is booked as solve, keeping the one-time entry
-            # build (above) as the assembly share.
-            timings.assembly_seconds += t1 - t0
-            timings.solve_seconds += t2 - t1
-            timings.systems_solved += batch * num_groups
-            if sample:
-                sampler.record(t2 - t0, batch * num_groups)
-        return psi_angle
+            )
+            assemble = 0
+        else:
+            # Vacuum interior sweep: the kernel assembles and solves.  It
+            # does not separate the two; its whole time is booked as solve,
+            # keeping the one-time entry build as the assembly share.
+            rhs = entry["rhs"]
+            assemble = 1
+        stamp = time.perf_counter()
+        self._provider.kernel()(
+            entry["bucket"], entry["mass"], total_source,
+            entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"],
+            entry["lu"], entry["piv"], rhs, assemble, psi_angle,
+        )
+        return stamp

@@ -1,10 +1,10 @@
 """Registry of sweep engines selectable by name.
 
-Built on the generic :class:`repro.registry.Registry` (shared with
-:mod:`repro.solvers.registry`): the input deck, :func:`repro.run` and the
-``unsnap`` CLI select the sweep engine by name, and third-party code can
-plug in new execution strategies with the :func:`register_engine`
-decorator::
+An instantiation of the generic :class:`repro.registry.Registry` whose
+protocol is :class:`~repro.engines.base.SweepEngine` (one ``sweep_angle``
+method): the input deck, :func:`repro.run` and the ``unsnap`` CLI select the
+sweep engine by name, and third-party code can plug in new execution
+strategies with the :func:`register_engine` decorator::
 
     from repro.engines import register_engine
 
@@ -35,107 +35,23 @@ __all__ = [
     "note_soft_dependency",
 ]
 
-_ENGINES: Registry[SweepEngine] = Registry("engine")
+_ENGINES: Registry[SweepEngine] = Registry("engine", method="sweep_angle")
 
-#: name -> why an optional engine tier could not register (soft dependency).
-_SOFT_HINTS: dict[str, str] = {}
-
-
-def note_soft_dependency(name: str, reason: str | None) -> None:
-    """Record why an optional engine is unavailable.
-
-    Soft-dependency tiers (the ``compiled`` engine) register only when
-    their dependency is importable; this hook lets them leave a hint so
-    :func:`get_engine` can raise an actionable error instead of a bare
-    unknown-name ``KeyError``.
-    """
-    _SOFT_HINTS[name.strip().lower()] = reason or "optional dependency missing"
-
-
-def register_engine(
-    name: str,
-    *,
-    description: str | None = None,
-    aliases: tuple[str, ...] = (),
-    overwrite: bool = False,
-):
-    """Class (or instance) decorator registering a sweep engine under ``name``.
-
-    Parameters
-    ----------
-    name:
-        Registry key (matched case-insensitively by :func:`get_engine`).
-    description:
-        Human-readable description; defaults to the first line of the
-        engine's docstring.
-    aliases:
-        Extra names accepted by :func:`get_engine`.
-    overwrite:
-        Allow replacing an existing registration (otherwise a duplicate name
-        raises ``ValueError``).
-    """
-
-    def decorate(obj):
-        engine = obj() if isinstance(obj, type) else obj
-        if not callable(getattr(engine, "sweep_angle", None)):
-            raise TypeError(
-                f"engine {name!r} must implement sweep_angle(...); got {type(engine)!r}"
-            )
-        engine.name = name.strip().lower()
-        engine.description = description or next(
-            iter((engine.__doc__ or "").strip().splitlines()), ""
-        )
-        _ENGINES.add(engine.name, engine, aliases=aliases, overwrite=overwrite)
-        return obj
-
-    return decorate
-
-
-def unregister_engine(name: str) -> None:
-    """Remove an engine (and its aliases) from the registry.
-
-    Primarily a test/plugin-teardown convenience; the built-in engines can be
-    removed too, so use with care.
-    """
-    _ENGINES.remove(name)
-
-
-def available_engines() -> list[str]:
-    """Names of all registered engines (aliases excluded)."""
-    return _ENGINES.available()
-
-
-def engine_aliases(name: str) -> list[str]:
-    """Aliases registered for the given engine name."""
-    return _ENGINES.aliases_of(name)
-
-
-def engine_descriptions() -> list[tuple[str, str]]:
-    """``(name, description)`` pairs for reports and ``unsnap engines``."""
-    return _ENGINES.descriptions()
-
-
-def engine_listing() -> list[tuple[str, str, str]]:
-    """``(name, aliases, description)`` rows for ``unsnap engines``."""
-    return _ENGINES.listing()
-
-
-def get_engine(engine: SweepEngine | str) -> SweepEngine:
-    """Resolve an engine instance from a name, alias or instance.
-
-    Passing an object that already implements the protocol returns it
-    unchanged, so call sites can accept ``engine: SweepEngine | str``.
-    """
-    if not isinstance(engine, str):
-        if callable(getattr(engine, "sweep_angle", None)):
-            return engine
-        raise TypeError(f"not a sweep engine: {engine!r}")
-    try:
-        return _ENGINES.resolve(engine)
-    except KeyError:
-        hint = _SOFT_HINTS.get(engine.strip().lower())
-        if hint is not None:
-            raise KeyError(
-                f"engine {engine!r} is not available in this environment: {hint}"
-            ) from None
-        raise
+#: ``@register_engine(name, *, description=None, aliases=(), overwrite=False)``
+#: -- class (or instance) decorator; see :meth:`repro.registry.Registry.register`.
+register_engine = _ENGINES.register
+#: Remove an engine (and its aliases); primarily a test/plugin-teardown
+#: convenience -- the built-in engines can be removed too, so use with care.
+unregister_engine = _ENGINES.remove
+#: Resolve an engine instance from a name, alias or instance.
+get_engine = _ENGINES.get
+#: Names of all registered engines (aliases excluded).
+available_engines = _ENGINES.available
+#: Aliases registered for the given engine name.
+engine_aliases = _ENGINES.aliases_of
+#: ``(name, description)`` pairs for reports.
+engine_descriptions = _ENGINES.descriptions
+#: ``(name, aliases, description)`` rows for ``unsnap engines``.
+engine_listing = _ENGINES.listing
+#: Record why an optional engine tier (``compiled``) could not register.
+note_soft_dependency = _ENGINES.note_soft_dependency

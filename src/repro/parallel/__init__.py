@@ -15,14 +15,11 @@ is an in-process simulation:
   into per-neighbour messages and back into :class:`BoundaryValues`.
 * :mod:`repro.parallel.block_jacobi` -- the multi-rank driver that reproduces
   the convergence/behaviour of the paper's global schedule.
-* :mod:`repro.parallel.kba` -- an analytic pipeline model of the classical
-  KBA schedule used for the idle-time comparison discussed in Section III.
 """
 
 from .comm import SimCommWorld, SimComm
 from .halo import HaloExchanger
 from .block_jacobi import BlockJacobiDriver, BlockJacobiResult
-from .kba import KBAPipelineModel
 
 __all__ = [
     "SimCommWorld",
@@ -30,5 +27,4 @@ __all__ = [
     "HaloExchanger",
     "BlockJacobiDriver",
     "BlockJacobiResult",
-    "KBAPipelineModel",
 ]

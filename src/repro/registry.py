@@ -9,22 +9,30 @@ extracts those mechanics into one :class:`Registry` both subsystems (and
 future ones -- numba/GPU engines, new solver families) build on, so a new
 registry is one instantiation rather than a hundred duplicated lines.
 
-A :class:`Registry` stores arbitrary objects; the thin subsystem modules
-keep their domain-specific validation (protocol checks, decorator sugar)
-and public function names.
+A :class:`Registry` stores arbitrary objects.  Subsystems whose plugins are
+behaviour objects (engines, backends, drivers) name the ``method`` every
+plugin must implement and get the class-or-instance :meth:`Registry.register`
+decorator, the name-or-instance :meth:`Registry.get` and the soft-dependency
+hint from here; the thin subsystem modules keep only their protocol and
+public function names.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterator, TypeVar
+from typing import Generic, Iterator, TypeVar
 
-__all__ = ["Registry"]
+__all__ = ["Registry", "first_doc_line"]
 
 T = TypeVar("T")
 
 
 def _normalise(name: str) -> str:
     return name.strip().lower()
+
+
+def first_doc_line(obj) -> str:
+    """First line of ``obj``'s docstring: the default one-line description."""
+    return next(iter((obj.__doc__ or "").strip().splitlines()), "")
 
 
 class Registry(Generic[T]):
@@ -35,20 +43,96 @@ class Registry(Generic[T]):
     kind:
         Human-readable noun used in error messages (``"engine"``,
         ``"solver"``, ...).
-    describe:
-        Optional callable mapping a registered object to its one-line
-        description; defaults to reading an ``obj.description`` attribute.
+    method:
+        Name of the method every registered object must implement
+        (``"sweep_angle"``, ``"execute_iter"``; ``"__call__"`` for plain
+        callables).  Enables :meth:`register` and :meth:`get`; registries of
+        passive records (solvers, benchmark cases) leave it ``None`` and use
+        :meth:`add` / :meth:`resolve` directly.
+    hint:
+        Optional sentence appended to the :meth:`check` error (how to
+        implement ``method``, what it replaced).
     """
 
-    def __init__(self, kind: str, describe: Callable[[T], str] | None = None):
+    def __init__(self, kind: str, method: str | None = None, hint: str = ""):
         self.kind = kind
-        self._describe = describe if describe is not None else self._default_describe
+        self.method = method
+        self.hint = hint
         self._items: dict[str, T] = {}
         self._aliases: dict[str, str] = {}
+        #: name -> why an optional registration is absent (soft dependency).
+        self._unavailable: dict[str, str] = {}
 
-    @staticmethod
-    def _default_describe(obj: T) -> str:
-        return getattr(obj, "description", "")
+    # ------------------------------------------------------------ protocol
+    def check(self, obj, label: str | None = None) -> None:
+        """Raise ``TypeError`` unless ``obj`` implements :attr:`method`."""
+        if not callable(getattr(obj, self.method, None)):
+            what = f"{self.kind} {label!r}" if label is not None else f"a {self.kind}"
+            raise TypeError(
+                f"{what} must provide a callable {self.method}(...); "
+                f"got {type(obj)!r}{self.hint and ' -- ' + self.hint}"
+            )
+
+    def register(
+        self,
+        name: str,
+        *,
+        description: str | None = None,
+        aliases: tuple[str, ...] = (),
+        overwrite: bool = False,
+    ):
+        """Class (or instance) decorator registering a plugin under ``name``.
+
+        A class is instantiated with no arguments; the instance (or the
+        function, for ``method="__call__"`` registries) must pass
+        :meth:`check` and is stamped with its registry ``name`` and a
+        ``description``.  Returns the decorated object unchanged so modules
+        can register their public API in place.
+
+        Parameters
+        ----------
+        name:
+            Registry key (matched case-insensitively by :meth:`get`).
+        description:
+            Human-readable description; defaults to the first line of the
+            plugin's docstring.
+        aliases:
+            Extra names accepted by :meth:`get`.
+        overwrite:
+            Allow replacing an existing registration (otherwise a duplicate
+            name raises ``ValueError``).
+        """
+
+        def decorate(obj):
+            plugin = obj() if isinstance(obj, type) else obj
+            self.check(plugin, name)
+            plugin.name = _normalise(name)
+            plugin.description = description or first_doc_line(plugin)
+            self.add(plugin.name, plugin, aliases=aliases, overwrite=overwrite)
+            return obj
+
+        return decorate
+
+    def get(self, plugin: T | str) -> T:
+        """Resolve a plugin from a name, alias or instance.
+
+        Passing an object that already implements the protocol returns it
+        unchanged, so call sites can accept ``plugin: T | str``.
+        """
+        if isinstance(plugin, str):
+            return self.resolve(plugin)
+        self.check(plugin)
+        return plugin
+
+    def note_soft_dependency(self, name: str, reason: str | None) -> None:
+        """Record why an optional plugin is unavailable.
+
+        Soft-dependency tiers (the ``compiled`` engine) register only when
+        their dependency is importable; this hook lets them leave a hint so
+        :meth:`resolve` can raise an actionable error instead of a bare
+        unknown-name ``KeyError``.
+        """
+        self._unavailable[_normalise(name)] = reason or "optional dependency missing"
 
     # ------------------------------------------------------------ mutation
     def add(
@@ -111,6 +195,11 @@ class Registry(Generic[T]):
         try:
             return self._items[self.canonical(name)]
         except KeyError:
+            reason = self._unavailable.get(_normalise(name))
+            if reason is not None:
+                raise KeyError(
+                    f"{self.kind} {name!r} is not available in this environment: {reason}"
+                ) from None
             raise KeyError(
                 f"unknown {self.kind} {name!r}; available: {self.available()}"
             ) from None
@@ -136,11 +225,11 @@ class Registry(Generic[T]):
 
     def descriptions(self) -> list[tuple[str, str]]:
         """``(name, description)`` pairs for every registered object."""
-        return [(name, self._describe(self._items[name])) for name in self.available()]
+        return [(name, getattr(self._items[name], "description", "")) for name in self.available()]
 
     def listing(self) -> list[tuple[str, str, str]]:
         """``(name, comma-joined aliases, description)`` rows for CLI tables."""
         return [
-            (name, ", ".join(self.aliases_of(name)), self._describe(self._items[name]))
+            (name, ", ".join(self.aliases_of(name)), getattr(self._items[name], "description", ""))
             for name in self.available()
         ]

@@ -135,31 +135,15 @@ def register_solver(
     return _SOLVERS.add(solver.name, solver, aliases=aliases, overwrite=overwrite)
 
 
-def unregister_solver(name: str) -> None:
-    """Remove a solver (and its aliases) from the registry."""
-    _SOLVERS.remove(name)
-
-
-def available_solvers() -> list[str]:
-    """Names of all registered solvers."""
-    return _SOLVERS.available()
-
-
-def solver_aliases(name: str) -> list[str]:
-    """Aliases registered for the given solver name."""
-    return _SOLVERS.aliases_of(name)
-
-
-def solver_descriptions() -> list[tuple[str, str]]:
-    """``(name, description)`` pairs for reports and ``unsnap solvers``."""
-    return _SOLVERS.descriptions()
-
-
-def solver_listing() -> list[tuple[str, str, str]]:
-    """``(name, aliases, description)`` rows for ``unsnap solvers``."""
-    return _SOLVERS.listing()
-
-
-def get_solver(name: str) -> LocalSolver:
-    """Look up a solver by name or alias (case-insensitive)."""
-    return _SOLVERS.resolve(name)
+#: Remove a solver (and its aliases) from the registry.
+unregister_solver = _SOLVERS.remove
+#: Look up a solver by name or alias (case-insensitive).
+get_solver = _SOLVERS.resolve
+#: Names of all registered solvers.
+available_solvers = _SOLVERS.available
+#: Aliases registered for the given solver name.
+solver_aliases = _SOLVERS.aliases_of
+#: ``(name, description)`` pairs for reports.
+solver_descriptions = _SOLVERS.descriptions
+#: ``(name, aliases, description)`` rows for ``unsnap solvers``.
+solver_listing = _SOLVERS.listing

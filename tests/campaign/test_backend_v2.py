@@ -1,4 +1,4 @@
-"""Tests for the v2 streaming backend contract (execute_iter / on_result)."""
+"""Tests for the streaming backend contract (execute_iter / on_result)."""
 
 import pytest
 
@@ -18,18 +18,14 @@ BASE = ProblemSpec(
 
 
 class ReversedStreamBackend:
-    """Yields results in reverse index order (out-of-order v2 test double)."""
+    """Yields results in reverse index order (out-of-order test double)."""
 
     def __init__(self, meta=None):
         self.meta = meta
 
-    def execute(self, items, *, jobs=None):  # pragma: no cover - v2 path wins
-        raise AssertionError("execute_iter must be preferred")
-
     def execute_iter(self, items, *, jobs=None):
-        serial = get_backend("serial")
-        results = list(serial.execute(items, jobs=jobs))
-        for item, result in reversed(list(zip(items, results))):
+        events = list(get_backend("serial").execute_iter(items, jobs=jobs))
+        for item, (_index, result) in reversed(list(zip(items, events))):
             if self.meta is not None:
                 yield item.index, result, dict(self.meta, index=item.index)
             else:
@@ -53,13 +49,13 @@ class TestIterBackendResults:
         )
         assert events[0][2] == {}
 
-    def test_v1_backend_wrapped_in_input_order(self):
+    def test_serial_backend_streams_in_input_order(self):
         items = [WorkItem(spec=BASE, index=i) for i in (0, 1)]
         events = list(iter_backend_results(get_backend("serial"), items))
         assert [index for index, _r, _m in events] == [0, 1]
 
-    def test_pool_backends_implement_execute_iter(self):
-        for name in ("thread", "process", "distributed"):
+    def test_every_builtin_backend_implements_execute_iter(self):
+        for name in ("serial", "thread", "process", "distributed"):
             assert callable(getattr(get_backend(name), "execute_iter", None)), name
 
     def test_thread_execute_iter_covers_every_index(self):
@@ -104,12 +100,8 @@ class TestRunStudyV2:
 
     def test_unknown_index_rejected(self):
         class RogueBackend:
-            def execute(self, items, *, jobs=None):
-                raise AssertionError
-
             def execute_iter(self, items, *, jobs=None):
-                serial = get_backend("serial")
-                (result,) = serial.execute(items, jobs=jobs)
+                ((_index, result),) = get_backend("serial").execute_iter(items, jobs=jobs)
                 yield 99, result
 
         with pytest.raises(RuntimeError, match="unknown run index 99"):
@@ -117,12 +109,8 @@ class TestRunStudyV2:
 
     def test_duplicate_index_rejected(self):
         class StutterBackend:
-            def execute(self, items, *, jobs=None):
-                raise AssertionError
-
             def execute_iter(self, items, *, jobs=None):
-                serial = get_backend("serial")
-                (result,) = serial.execute(items, jobs=jobs)
+                ((_index, result),) = get_backend("serial").execute_iter(items, jobs=jobs)
                 yield items[0].index, result
                 yield items[0].index, result
 
@@ -131,9 +119,6 @@ class TestRunStudyV2:
 
     def test_short_stream_rejected(self):
         class SilentBackend:
-            def execute(self, items, *, jobs=None):
-                raise AssertionError
-
             def execute_iter(self, items, *, jobs=None):
                 return iter(())
 
@@ -145,4 +130,4 @@ class TestRunStudyV2:
         # raw (spec, options) tuples into a backend is a clean TypeError.
         serial = get_backend("serial")
         with pytest.raises(TypeError, match="WorkItem"):
-            list(serial.execute([(BASE, {}), (BASE.with_(order=2), {})]))
+            list(serial.execute_iter([(BASE, {}), (BASE.with_(order=2), {})]))

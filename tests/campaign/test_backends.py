@@ -54,8 +54,8 @@ class TestRegistry:
         class CustomBackend:
             """Delegates to serial (registration test only)."""
 
-            def execute(self, points, *, jobs=None):
-                return get_backend("serial").execute(points, jobs=jobs)
+            def execute_iter(self, items, *, jobs=None):
+                return get_backend("serial").execute_iter(items, jobs=jobs)
 
         try:
             assert "test-custom" in available_backends()
@@ -66,8 +66,20 @@ class TestRegistry:
         assert "test-custom" not in available_backends()
 
     def test_register_rejects_non_backend(self):
-        with pytest.raises(TypeError, match="execute"):
+        with pytest.raises(TypeError, match="execute_iter"):
             register_backend("broken")(object())
+
+    def test_execute_only_backend_gets_a_migration_error(self):
+        class LegacyBackend:
+            """Implements only the retired in-order v1 contract."""
+
+            def execute(self, items, *, jobs=None):
+                return []
+
+        for attempt in (register_backend("legacy"), get_backend):
+            with pytest.raises(TypeError, match=r"execute_iter.*contract \(v1\) is retired"):
+                attempt(LegacyBackend())
+        assert "legacy" not in available_backends()
 
 
 @pytest.fixture(scope="module")
@@ -134,19 +146,8 @@ class TestBackendEquivalence:
         class LossyBackend:
             """Drops the last result (contract-violation test only)."""
 
-            def execute(self, points, *, jobs=None):
-                return list(get_backend("serial").execute(points, jobs=jobs))[:-1]
+            def execute_iter(self, items, *, jobs=None):
+                return list(get_backend("serial").execute_iter(items, jobs=jobs))[:-1]
 
         with pytest.raises(RuntimeError, match="1 results for 2 runs"):
             run_study(Study.grid(BASE, order=[1, 2]), backend=LossyBackend())
-
-    def test_backend_surplus_results_detected(self):
-        class ChattyBackend:
-            """Duplicates the last result (contract-violation test only)."""
-
-            def execute(self, points, *, jobs=None):
-                results = list(get_backend("serial").execute(points, jobs=jobs))
-                return results + results[-1:]
-
-        with pytest.raises(RuntimeError, match="> 1 results for 1 runs"):
-            run_study(Study.grid(BASE, order=[1]), backend=ChattyBackend())

@@ -171,20 +171,6 @@ class TestCoordinatorInProcess:
         backend = DistributedBackend(spool_dir=spool.root, workers=0)
         assert list(backend.execute_iter([])) == []
 
-    def test_execute_returns_input_order(self, spool):
-        backend = DistributedBackend(
-            spool_dir=spool.root, workers=0, poll_seconds=0.02, lease_seconds=30
-        )
-        items = [WorkItem(spec=BASE.with_(order=o), index=i)
-                 for i, o in enumerate([1, 2])]
-        _worker, thread = in_process_worker(spool)
-        try:
-            results = list(backend.execute(items))
-        finally:
-            spool.request_stop()
-            thread.join(timeout=10)
-        assert [r.spec.order for r in results] == [1, 2]
-
 
 class TestCoordinatorSubprocess:
     def test_auto_spawned_workers_execute_the_campaign(self):
@@ -241,7 +227,7 @@ class TestQuarantineNote:
         )
         items = [WorkItem(spec=BASE, index=0)]
         with pytest.raises(RuntimeError) as err:
-            list(backend.execute(items))  # no worker: the drain times out
+            list(backend.execute_iter(items))  # no worker: the drain times out
         message = str(err.value)
         assert "timed out" in message
         assert "stuck.json: RuntimeError: engine exploded" in message

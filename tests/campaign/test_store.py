@@ -175,10 +175,10 @@ class TestConcurrentWriters:
 class _ExplodingBackend:
     """Fails on any non-empty batch: proves resumption executed nothing."""
 
-    def execute(self, points, *, jobs=None):
-        if points:
-            raise AssertionError(f"backend was asked to execute {len(points)} runs")
-        return []
+    def execute_iter(self, items, *, jobs=None):
+        if items:
+            raise AssertionError(f"backend was asked to execute {len(items)} runs")
+        return iter(())
 
 
 class TestResumability:

@@ -8,7 +8,14 @@ or a third-party plugin -- must honour the same behavioural contract:
   conformance tolerance on a twisted multi-group problem;
 * **factor-cache lifecycle** -- ``update_materials`` and ``set_engine``
   invalidate any memoised factors (no stale-factor reuse, bit-for-bit
-  agreement with a freshly built solver);
+  agreement with a freshly built solver); an engine either caches under
+  keys namespaced by its own registered name and counts hits/misses, or
+  leaves the cache empty and counts nothing; engines registered as several
+  instances of one class (``vectorized`` / ``prefactorized``) never read
+  each other's entries on a shared executor;
+* **one epilogue** -- the serial and the octant-parallel sweep weight, bank
+  and halo-collect every angle identically: same ``outgoing_halo`` keys and
+  traces, same angular-flux bank, bit for bit;
 * **determinism** -- octant-parallel execution is bit-for-bit identical
   across thread counts, including under a factor-cache budget;
 * **observability is free** -- telemetry (even with bucket sampling at full
@@ -32,8 +39,9 @@ import numpy as np
 import repro
 from repro.config import ProblemSpec
 from repro.core.solver import TransportSolver
-from repro.engines import available_engines
+from repro.engines import available_engines, get_engine
 from repro.materials.library import snap_option1_library
+from repro.parallel.block_jacobi import BlockJacobiDriver
 from repro.telemetry import Telemetry
 from repro.verify.mms import FemMMSProblem, estimate_order
 
@@ -114,6 +122,88 @@ class EngineContract:
         assert np.array_equal(baseline, again), (
             f"{self.engine}: solve after a round-trip engine switch differs"
         )
+
+    def check_cache_policy(self) -> None:
+        """Caching engines own namespaced entries and count them; others
+        leave the factor cache empty and emit no hit/miss counters."""
+        telemetry = Telemetry()
+        solver = TransportSolver(self.spec, telemetry=telemetry)
+        solver.solve()
+        cache = solver.executor.factor_cache
+        hits = telemetry.counters.get("factor_cache_hits", 0)
+        misses = telemetry.counters.get("factor_cache_misses", 0)
+        if len(cache) == 0:
+            assert "factor_cache_hits" not in telemetry.counters, self.engine
+            assert "factor_cache_misses" not in telemetry.counters, self.engine
+            return
+        assert all(key[0] == self.engine for key in cache), (
+            f"{self.engine}: cache keys not namespaced by the registered name"
+        )
+        # Unbudgeted: every (angle, bucket) misses once, then only hits.
+        assert misses == len(cache), f"{self.engine}: {misses} misses, {len(cache)} entries"
+        assert hits == misses * (telemetry.counters["sweeps"] - 1), self.engine
+
+    def check_same_class_instances_never_collide(self) -> None:
+        """Engines registered as instances of one class stay distinct: on a
+        shared executor ``set_engine`` between them invalidates, and each
+        only ever sees entries under its own name."""
+        engine = get_engine(self.engine)
+        siblings = [
+            name
+            for name in available_engines()
+            if name != self.engine and type(get_engine(name)) is type(engine)
+        ]
+        for sibling in siblings:
+            assert get_engine(sibling) is not engine
+            solver = TransportSolver(self.spec)
+            own = solver.solve().scalar_flux
+            solver.set_engine(sibling)
+            assert len(solver.executor.factor_cache) == 0, (
+                f"{self.engine} -> {sibling}: entries survived the switch"
+            )
+            solver.solve()
+            assert all(key[0] == sibling for key in solver.executor.factor_cache)
+            solver.set_engine(self.engine)
+            assert len(solver.executor.factor_cache) == 0
+            assert np.array_equal(own, solver.solve().scalar_flux), (
+                f"{self.engine}: flux changed after sharing an executor with {sibling}"
+            )
+
+    # --------------------------------------------------------- one epilogue
+    def check_serial_and_octant_epilogues_agree(self) -> None:
+        """Serial and octant-parallel sweeps differ only in reduction order.
+
+        On a block-Jacobi subdomain (so there *are* halo faces) both modes
+        must collect exactly the outflow halo traces, bank every angle and
+        agree on both bit for bit; scalar flux and leakage agree to
+        rounding (the octant mode sums per-octant partials).
+        """
+        executor = BlockJacobiDriver(self.spec.with_(npex=2, npey=1)).executors[0]
+        executor.store_angular_flux = True
+        source = np.ones((executor.mesh.num_cells, executor.num_groups, executor.num_nodes))
+        serial = executor.sweep(source)
+        executor.octant_parallel, executor.num_threads = True, 2
+        octant = executor.sweep(source)
+
+        expected_keys = {
+            (cell, face, angle)
+            for cell, face in executor._halo_set
+            for angle in range(executor.quadrature.num_angles)
+            if executor.schedule.for_angle(angle).classification.orientation[cell, face] == 1
+        }
+        assert expected_keys, "contract spec produced no outflow halo faces"
+        for result in (serial, octant):
+            assert set(result.outgoing_halo) == expected_keys, self.engine
+        for key, trace in serial.outgoing_halo.items():
+            assert np.array_equal(trace, octant.outgoing_halo[key]), (self.engine, key)
+            cell, _face, angle = key
+            assert np.array_equal(trace, serial.angular_flux.psi[cell, angle])
+        assert np.array_equal(serial.angular_flux.psi, octant.angular_flux.psi), self.engine
+        banked = serial.angular_flux.scalar_flux(executor.quadrature.weights)
+        for result in (serial, octant):
+            np.testing.assert_allclose(result.scalar_flux, banked, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(serial.leakage, octant.leakage, rtol=1e-12)
+        assert serial.timings.systems_solved == octant.timings.systems_solved
 
     # ---------------------------------------------------------- determinism
     def check_thread_invariance(self) -> None:
@@ -205,6 +295,9 @@ class EngineContract:
         self.check_reference_agreement()
         self.check_update_materials_invalidates()
         self.check_set_engine_invalidates()
+        self.check_cache_policy()
+        self.check_same_class_instances_never_collide()
+        self.check_serial_and_octant_epilogues_agree()
         self.check_thread_invariance()
         self.check_telemetry_off_identity()
         self.check_budget_bounded()

@@ -14,7 +14,7 @@ import pytest
 
 from contract import EngineContract
 
-from repro.engines import available_engines
+from repro.engines import BatchedSweepEngine, available_engines, get_engine
 
 
 @pytest.fixture(scope="module", params=sorted(available_engines()))
@@ -35,6 +35,15 @@ class TestEngineContract:
     def test_set_engine_invalidates(self, contract):
         contract.check_set_engine_invalidates()
 
+    def test_cache_policy(self, contract):
+        contract.check_cache_policy()
+
+    def test_same_class_instances_never_collide(self, contract):
+        contract.check_same_class_instances_never_collide()
+
+    def test_serial_and_octant_epilogues_agree(self, contract):
+        contract.check_serial_and_octant_epilogues_agree()
+
     def test_thread_invariance(self, contract):
         contract.check_thread_invariance()
 
@@ -43,3 +52,12 @@ class TestEngineContract:
 
     def test_budget_bounded(self, contract):
         contract.check_budget_bounded()
+
+
+def test_vectorized_and_prefactorized_are_two_instances_of_one_class():
+    """The fold this suite guards: one loop, the keep-factors choice fixed at
+    registration -- so the sibling clause above actually has siblings."""
+    vectorized, prefactorized = get_engine("vectorized"), get_engine("prefactorized")
+    assert type(vectorized) is type(prefactorized) is BatchedSweepEngine
+    assert vectorized is not prefactorized
+    assert (vectorized.keep_factors, prefactorized.keep_factors) == (False, True)

@@ -1,4 +1,4 @@
-"""Tests for the simulated communicator, halo exchange, block Jacobi and KBA model."""
+"""Tests for the simulated communicator, halo exchange and block Jacobi."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.mesh.partition import partition_kba
 from repro.parallel.block_jacobi import BlockJacobiDriver
 from repro.parallel.comm import SimCommWorld
 from repro.parallel.halo import HaloExchanger
-from repro.parallel.kba import KBAPipelineModel
 
 
 class TestSimComm:
@@ -136,26 +135,3 @@ class TestBlockJacobi:
     def test_per_rank_cells_partition_mesh(self, base_spec):
         result = BlockJacobiDriver(base_spec.with_(npex=2, npey=2, num_inners=1)).solve()
         assert sum(result.per_rank_cells) == base_spec.num_cells
-
-
-class TestKBAPipelineModel:
-    def test_single_rank_is_fully_efficient(self):
-        model = KBAPipelineModel(npex=1, npey=1, num_planes=10)
-        assert model.parallel_efficiency() == 1.0
-        assert model.idle_fraction() == 0.0
-
-    def test_efficiency_decreases_with_grid_size(self):
-        small = KBAPipelineModel(npex=2, npey=2, num_planes=16)
-        large = KBAPipelineModel(npex=8, npey=8, num_planes=16)
-        assert large.parallel_efficiency() < small.parallel_efficiency()
-
-    def test_relative_sweep_time(self):
-        model = KBAPipelineModel(npex=4, npey=4, num_planes=10)
-        assert model.relative_sweep_time() == pytest.approx(16.0 / 10.0)
-        assert KBAPipelineModel.block_jacobi_efficiency() == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KBAPipelineModel(npex=0, npey=1, num_planes=1)
-        with pytest.raises(ValueError):
-            KBAPipelineModel(npex=1, npey=1, num_planes=0)

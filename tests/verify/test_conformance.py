@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import ProblemSpec
 from repro.engines import register_engine, unregister_engine
-from repro.engines.vectorized import VectorizedSweepEngine
+from repro.engines import BatchedSweepEngine
 from repro.verify.conformance import canonical_spec, conformance_matrix
 
 #: Small, quick matrix problem for the fast tier (the canonical spec with a
@@ -78,7 +78,7 @@ class TestConformanceMatrix:
         assert spec.num_groups > 1 and spec.max_twist > 0.0
 
 
-class _SkewedEngine(VectorizedSweepEngine):
+class _SkewedEngine(BatchedSweepEngine):
     """A deliberately non-conforming engine (perturbs the flux by ~1e-9)."""
 
     def sweep_angle(self, executor, angle, total_source, boundary_values, incident, timings):
@@ -90,7 +90,7 @@ class _SkewedEngine(VectorizedSweepEngine):
 
 class TestNegativeControls:
     def test_a_non_conforming_engine_fails_the_tolerance(self):
-        register_engine("skewed-for-test")(_SkewedEngine())
+        register_engine("skewed-for-test")(_SkewedEngine(keep_factors=False))
         try:
             report = conformance_matrix(
                 FAST_SPEC,
@@ -110,7 +110,7 @@ class TestNegativeControls:
         # vectorized engine but does not reproduce its bytes: the family
         # check must catch the lie even when the deviation is within any
         # reasonable tolerance.
-        register_engine("skewed-for-test")(_SkewedEngine())
+        register_engine("skewed-for-test")(_SkewedEngine(keep_factors=False))
         try:
             report = conformance_matrix(
                 FAST_SPEC,
