@@ -25,8 +25,9 @@ two hooks -- how a bucket's entry is built and how the bucket is solved:
     only the right-hand sides (aliases: ``lu``, ``prefactor``,
     ``factor-cache``; paper Section IV-B.1).
 ``compiled``
-    Fused JIT bucket kernel (numba, or a cffi-built C kernel) over the
-    cached LU factors (aliases: ``jit``, ``native``).  A *soft* dependency:
+    JIT kernels (numba, or a cffi-built C module) for both the cached
+    entry build -- assembly, upwind couplings, pivoted LU -- and the fused
+    per-bucket sweep (aliases: ``jit``, ``native``).  A *soft* dependency:
     registered only when a JIT provider is available, so the name never
     appears broken -- see :mod:`repro.engines.compiled`.
 """

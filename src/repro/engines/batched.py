@@ -39,7 +39,8 @@ Three registered engines share the loop:
   bit while ``lapack`` keeps its distinct roundings on each name; solvers
   without the pair fall back to the hand-written batched LU.
 * ``compiled`` (:mod:`repro.engines.compiled`) subclasses the engine and
-  overrides both hooks with a packed entry and a fused JIT kernel call.
+  overrides both hooks with JIT kernel calls: a packed entry assembled and
+  factorised in compiled code, and one fused assemble-and-solve per bucket.
 
 Equivalence with the reference engine is exact up to floating-point
 associativity (the property tests assert agreement to ~1e-12).  The cache

@@ -1,35 +1,43 @@
-"""The compiled sweep engine: one fused JIT kernel per (angle, bucket).
+"""The compiled sweep engine: compiled kernels for the cold build and the sweep.
 
 Where ``prefactorized`` replaces the per-sweep elimination with cached LU
-factors but still pays numpy dispatch for the right-hand-side assembly and
-the batched substitutions, this engine drops the whole steady-state bucket
-loop into a single compiled kernel (:mod:`repro.engines.compiled.kernels`):
-assemble the volumetric source, subtract the packed interior upwind
-couplings reading ``psi`` of earlier buckets, and run the pivoted
-forward/backward substitutions -- all in one pass over preallocated
-contiguous arrays, no temporaries, no interpreter in the loop.
+factors but still pays numpy dispatch for the entry build, the
+right-hand-side assembly and the batched substitutions, this engine runs
+all of it in the compiled kernels of :mod:`repro.engines.compiled.kernels`:
+
+* the one-time (angle, bucket) entry build is array allocation plus two
+  kernel calls -- ``build_bucket`` assembles the local systems and the
+  packed interior upwind couplings straight into the entry's arrays,
+  ``lu_factor`` factorises the systems in place -- with the Table II
+  assembly/solve stamp taken between them;
+* every steady-state bucket is one ``sweep_bucket`` call: assemble the
+  volumetric source, subtract the packed couplings reading ``psi`` of
+  earlier buckets, and run the pivoted forward/backward substitutions --
+  one pass over preallocated contiguous arrays, no temporaries, no
+  interpreter in the loop.
 
 The engine is a :class:`~repro.engines.batched.BatchedSweepEngine` with
 kept factors: the bucket loop, cache keying and hit/miss counting are the
-shared ones, and this module supplies only the two hooks -- the packed
-entry build and the fused / solve-only kernel call.  It therefore follows
-the executor's factor-cache lifecycle (:mod:`repro.engines.base`) exactly
-like ``prefactorized``; entries invalidated or spilled under a budget are
-rebuilt on the next miss, so the kernel never sees a stale factor.
+shared ones, and this module supplies only the two hooks.  It therefore
+follows the executor's factor-cache lifecycle (:mod:`repro.engines.base`)
+exactly like ``prefactorized``; entries invalidated or spilled under a
+budget are rebuilt on the next miss, so the kernel never sees a stale
+factor.
 
 The boundary path (incident flux or lagged block-Jacobi traces) reuses the
 numpy :func:`~repro.engines.batched.assemble_bucket_rhs` for the irregular
-per-face scans and calls the kernel in solve-only mode, so vacuum interior
-sweeps -- the hot path of every benchmark -- never leave compiled code.
+per-face scans -- handing it per-face slices of the packed couplings, which
+the entry holds exactly once -- and calls the kernel in solve-only mode, so
+vacuum interior sweeps -- the hot path of every benchmark -- never leave
+compiled code.
 
-The compiled tier carries its own factorisation
-(:func:`~repro.solvers.prefactor.batched_gaussian_lu_factor`), matching the
-substitution loops baked into the kernel; the executor's local-solver
-choice selects the *other* engines' solve and does not change this one.
-``bitwise_family`` is the tier's own (``"compiled"``): the fused loop nest
-fixes its own summation order, which is not guaranteed to match the numpy
-einsum reductions bit for bit -- cross-engine agreement is asserted by the
-conformance matrix at tolerance instead.
+The factorisation is the tier's own, matching the substitution loops baked
+into the sweep kernel; the executor's local-solver choice selects the
+*other* engines' solve and does not change this one.  ``bitwise_family`` is
+the tier's own too (``"compiled"``): the kernels fix their own summation
+order, which is not guaranteed to match the numpy einsum reductions bit for
+bit -- cross-engine agreement is asserted by the conformance matrix at
+tolerance instead, provider-to-provider agreement bit for bit.
 """
 
 from __future__ import annotations
@@ -38,13 +46,8 @@ import time
 
 import numpy as np
 
-from ...solvers.prefactor import batched_gaussian_lu_factor
-from ..batched import (
-    BatchedSweepEngine,
-    assemble_bucket_matrices,
-    assemble_bucket_rhs,
-    interior_upwind_couplings,
-)
+from ...mesh.hexmesh import BOUNDARY
+from ..batched import BatchedSweepEngine, assemble_bucket_rhs
 from ..registry import register_engine
 from .providers import as_contiguous_f64, as_contiguous_i64, select_provider
 
@@ -53,9 +56,9 @@ __all__ = ["CompiledSweepEngine"]
 
 @register_engine("compiled", aliases=("jit", "native"))
 class CompiledSweepEngine(BatchedSweepEngine):
-    """Fused JIT bucket kernel over cached packed LU factors (numba or cffi)."""
+    """JIT-built packed LU factors and a fused JIT bucket kernel over them (numba or cffi)."""
 
-    #: Own family: the fused kernel fixes its own reduction order, so
+    #: Own family: the kernels fix their own reduction order, so
     #: bit-equality with the numpy ``batched`` family is not guaranteed.
     bitwise_family = "compiled"
 
@@ -76,47 +79,48 @@ class CompiledSweepEngine(BatchedSweepEngine):
         )
 
     def build_entry(self, executor, direction, orient, bucket):
-        """Assemble, factor and pack one (angle, bucket) cache entry."""
+        """Allocate one (angle, bucket) cache entry; assemble and factor it in the kernels."""
+        matrices = executor.matrices
         num_groups = executor.num_groups
         num_nodes = executor.num_nodes
-        batch = bucket.shape[0]
+        systems = bucket.shape[0] * num_groups
+        kernels = self._provider.kernels()
 
-        a = assemble_bucket_matrices(executor, direction, orient, bucket)
-        interior = interior_upwind_couplings(executor, direction, orient, bucket)
-        # Pack the per-face coupling dict into flat kernel arrays.  cpl_src
-        # holds *global* upwind element ids (psi of earlier buckets is
-        # final), cpl_pos the position within this bucket.
-        positions: list[np.ndarray] = []
-        sources: list[np.ndarray] = []
-        mats: list[np.ndarray] = []
-        for face in sorted(interior):
-            idx, neighbors, coupling = interior[face]
-            positions.append(np.asarray(idx, dtype=np.int64))
-            sources.append(np.asarray(neighbors, dtype=np.int64))
-            mats.append(coupling)
-        if positions:
-            cpl_pos = as_contiguous_i64(np.concatenate(positions))
-            cpl_src = as_contiguous_i64(np.concatenate(sources))
-            cpl_mat = as_contiguous_f64(np.concatenate(mats, axis=0))
-        else:
-            cpl_pos = np.empty(0, dtype=np.int64)
-            cpl_src = np.empty(0, dtype=np.int64)
-            cpl_mat = np.empty((0, num_nodes, num_nodes), dtype=np.float64)
-        stamp = time.perf_counter()
-        lu, piv = batched_gaussian_lu_factor(
-            a.reshape(batch * num_groups, num_nodes, num_nodes)
+        bucket = as_contiguous_i64(bucket)
+        orient = as_contiguous_i64(orient)
+        # Interior upwind neighbour per inflow face, BOUNDARY (negative)
+        # wherever there is none; its per-face counts size the packed
+        # couplings and slice them on the boundary path.
+        upwind = as_contiguous_i64(
+            np.where(orient == -1, executor.mesh.face_neighbors[bucket], BOUNDARY)
         )
+        offsets = np.zeros(7, dtype=np.int64)
+        np.cumsum(np.count_nonzero(upwind != BOUNDARY, axis=0), out=offsets[1:])
+        num_cpl = int(offsets[6])
         entry = {
-            "bucket": as_contiguous_i64(bucket),
-            "mass": as_contiguous_f64(executor.matrices.mass[bucket]),
-            "cpl_pos": cpl_pos,
-            "cpl_src": cpl_src,
-            "cpl_mat": cpl_mat,
-            "lu": as_contiguous_f64(lu),
-            "piv": as_contiguous_i64(piv),
-            "interior": interior,
-            "rhs": np.empty((batch, num_groups, num_nodes), dtype=np.float64),
+            "mass": as_contiguous_f64(matrices.mass[bucket]),
+            "cpl_pos": np.empty(num_cpl, dtype=np.int64),
+            "cpl_src": np.empty(num_cpl, dtype=np.int64),
+            "cpl_mat": np.empty((num_cpl, num_nodes, num_nodes), dtype=np.float64),
+            "cpl_offsets": offsets,
+            "lu": np.empty((systems, num_nodes, num_nodes), dtype=np.float64),
+            "piv": np.empty((systems, num_nodes), dtype=np.int64),
+            "rhs": np.empty((bucket.shape[0], num_groups, num_nodes), dtype=np.float64),
         }
+        # The face matrices are C-contiguous as ElementMatrices allocates
+        # them (no copy here) and only the faces needed are read; the
+        # einsum-built gradient is not, so its bucket rows are gathered.
+        kernels.build_bucket(
+            bucket, orient, upwind, as_contiguous_f64(direction),
+            as_contiguous_f64(matrices.gradient[bucket]),
+            as_contiguous_f64(matrices.face_own),
+            as_contiguous_f64(matrices.face_neighbor),
+            entry["mass"], as_contiguous_f64(executor.sigma_t[bucket]),
+            entry["lu"], entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"],
+        )
+        stamp = time.perf_counter()
+        if kernels.lu_factor(entry["lu"], entry["piv"]) != 0:
+            raise np.linalg.LinAlgError("at least one matrix in the batch is singular")
         return entry, stamp
 
     def solve_bucket(
@@ -131,7 +135,7 @@ class CompiledSweepEngine(BatchedSweepEngine):
             rhs = as_contiguous_f64(
                 assemble_bucket_rhs(
                     executor, angle, orient, bucket, psi_angle,
-                    total_source, boundary_values, incident, entry["interior"],
+                    total_source, boundary_values, incident, _interior_slices(entry),
                 )
             )
             assemble = 0
@@ -142,9 +146,19 @@ class CompiledSweepEngine(BatchedSweepEngine):
             rhs = entry["rhs"]
             assemble = 1
         stamp = time.perf_counter()
-        self._provider.kernel()(
-            entry["bucket"], entry["mass"], total_source,
+        self._provider.kernels().sweep_bucket(
+            as_contiguous_i64(bucket), entry["mass"], total_source,
             entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"],
             entry["lu"], entry["piv"], rhs, assemble, psi_angle,
         )
         return stamp
+
+
+def _interior_slices(entry) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The packed couplings as ``assemble_bucket_rhs``'s per-face mapping (views, no copies)."""
+    offsets = entry["cpl_offsets"].tolist()
+    return {
+        face: (entry["cpl_pos"][lo:hi], entry["cpl_src"][lo:hi], entry["cpl_mat"][lo:hi])
+        for face, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+        if hi > lo
+    }

@@ -1,40 +1,79 @@
-"""The compiled tier's sweep kernel, in portable (njit-compatible) Python.
+"""The compiled tier's kernels, in portable (njit-compatible) Python.
 
 This module is the *single source of truth* for the compiled engine's
-numerics: one fused per-bucket kernel that assembles the right-hand sides
-(volumetric source term minus packed interior upwind couplings) and runs the
-pivoted forward/backward substitutions against the cached packed LU factors,
-writing the bucket's angular flux straight into the full ``psi`` array.
+numerics -- the cold entry build as well as the steady sweep:
 
-The providers (:mod:`repro.engines.compiled.providers`) turn this one
-function into machine code two different ways -- ``numba.njit`` compiles it
-directly, and the cffi provider carries a line-for-line C translation whose
-loop nest mirrors this function exactly (same loop order, same accumulation
-order, compiled with ``-ffp-contract=off`` so the arithmetic stays plain
-IEEE double operations in source order).  Keeping the Python version the
-reference lets the test-suite assert provider equivalence without a second
-independent implementation of the physics.
+``build_bucket_kernel``
+    assembles the bucket's local systems (``-Omega.G`` plus the outflow
+    own-face terms plus ``sigma_t * M``) straight into the ``(B*G, N, N)``
+    array the factorisation then overwrites, and the direction-weighted
+    couplings ``Omega . face_neighbor`` of the interior inflow faces
+    straight into the packed ``cpl_pos``/``cpl_src``/``cpl_mat`` arrays;
+``lu_factor_kernel``
+    LU-factorises those systems in place with partial pivoting;
+``sweep_bucket_kernel``
+    one fused per-bucket pass that assembles the right-hand sides
+    (volumetric source term minus the packed interior upwind couplings) and
+    runs the pivoted forward/backward substitutions against the packed
+    factors, writing the bucket's angular flux straight into ``psi``.
+
+The providers (:mod:`repro.engines.compiled.providers`) turn these
+functions into machine code two different ways -- ``numba.njit`` compiles
+them directly, and the cffi provider carries a line-for-line C translation
+whose loop nests mirror these functions exactly (same loop order, same
+accumulation order, compiled with ``-ffp-contract=off`` so the arithmetic
+stays plain IEEE double operations in source order).  Keeping the Python
+version the reference lets the test-suite assert provider equivalence
+without a second independent implementation of the physics.
 
 Only explicit loops over preallocated contiguous arrays are used -- no numpy
-API beyond indexing -- so the same body type-specialises cleanly under numba
-and translates mechanically to C.
+API beyond indexing -- so the same bodies type-specialise cleanly under
+numba and translate mechanically to C.
 
-Kernel contract
----------------
-``sweep_bucket_kernel(bucket, mass, source, cpl_pos, cpl_src, cpl_mat, lu,
-piv, rhs, assemble, psi)`` with
+Build contract
+--------------
+``build_bucket_kernel(bucket, orient, upwind, direction, gradient, face_own,
+face_neighbor, mass, sigma_t, lu, cpl_pos, cpl_src, cpl_mat)`` with
 
 * ``bucket`` -- ``(B,)`` int64 global element ids of the wavefront bucket;
-* ``mass`` -- ``(B, N, N)`` mass matrices of the bucket elements;
+* ``orient`` -- ``(B, 6)`` int64 face orientation of the bucket elements for
+  this direction (+1 outflow, -1 inflow, 0 tangential);
+* ``upwind`` -- ``(B, 6)`` int64 global id of the interior upwind neighbour
+  across each inflow face, negative everywhere else (outflow and tangential
+  faces, and inflow faces on the domain boundary);
+* ``direction`` -- ``(3,)`` ordinate direction ``Omega``;
+* ``gradient``/``mass``/``sigma_t`` -- ``(B, 3, N, N)`` gradient matrices,
+  ``(B, N, N)`` mass matrices and ``(B, G)`` total cross sections *of the
+  bucket elements*;
+* ``face_own``/``face_neighbor`` -- the full ``(E, 6, 3, N, N)`` face
+  coupling matrices (indexed through ``bucket``: only the outflow
+  respectively interior-inflow faces are ever read);
+* ``lu`` -- ``(B*G, N, N)`` output, system ``b*G + g`` belonging to element
+  ``b``, group ``g``;
+* ``cpl_pos``/``cpl_src``/``cpl_mat`` -- ``(K,)``, ``(K,)`` and
+  ``(K, N, N)`` outputs, ``K`` the number of non-negative ``upwind``
+  entries: bucket position, global upwind element id and coupling matrix of
+  every interior inflow face, packed face-major (all of face 0 in bucket
+  order, then face 1, ...), so one face's couplings are a contiguous slice.
+
+``lu_factor_kernel(lu, piv)`` factorises in place: on return ``lu`` holds
+the packed factors (unit lower triangle below the diagonal) and the
+``(B*G, N)`` int64 ``piv`` the row swaps in LAPACK ``getrf`` convention.
+Pivot choice (first maximum of the column, the tie rule of ``np.argmax``)
+and arithmetic are those of
+:func:`repro.solvers.prefactor.batched_gaussian_lu_factor`, whose ``lu`` and
+``piv`` it reproduces bit for bit.  Returns 0, or 1 as soon as a system
+turns out singular (a zero pivot column); ``lu`` is then half-factorised
+garbage.
+
+Sweep contract
+--------------
+``sweep_bucket_kernel(bucket, mass, source, cpl_pos, cpl_src, cpl_mat, lu,
+piv, rhs, assemble, psi)`` with ``bucket``, ``mass``, ``cpl_*``, ``lu`` and
+``piv`` as above and
+
 * ``source`` -- ``(E, G, N)`` full per-ordinate total source (indexed
   through ``bucket``);
-* ``cpl_pos``/``cpl_src``/``cpl_mat`` -- ``(K,)`` bucket positions, ``(K,)``
-  global upwind element ids and ``(K, N, N)`` direction-weighted coupling
-  matrices, the packed concatenation of
-  :func:`repro.engines.batched.interior_upwind_couplings` over faces;
-* ``lu``/``piv`` -- ``(B*G, N, N)`` packed factors and ``(B*G, N)`` row
-  swaps from :func:`repro.solvers.prefactor.batched_gaussian_lu_factor`,
-  system ``b*G + g`` belonging to element ``b``, group ``g``;
 * ``rhs`` -- ``(B, G, N)`` scratch; holds the assembled right-hand sides
   when ``assemble`` is nonzero, otherwise arrives pre-assembled (the
   boundary path) and the kernel only substitutes.  Destroyed either way.
@@ -44,7 +83,89 @@ piv, rhs, assemble, psi)`` with
 
 from __future__ import annotations
 
-__all__ = ["sweep_bucket_kernel"]
+__all__ = ["build_bucket_kernel", "lu_factor_kernel", "sweep_bucket_kernel"]
+
+
+def build_bucket_kernel(
+    bucket, orient, upwind, direction, gradient, face_own, face_neighbor,
+    mass, sigma_t, lu, cpl_pos, cpl_src, cpl_mat,
+):
+    """Assemble one bucket's local systems and packed upwind couplings (see module docs)."""
+    num_bucket = bucket.shape[0]
+    num_groups = sigma_t.shape[1]
+    num_nodes = mass.shape[1]
+    o0 = direction[0]
+    o1 = direction[1]
+    o2 = direction[2]
+
+    for b in range(num_bucket):
+        grad = gradient[b]
+        base = lu[b * num_groups]
+        # Streaming matrix, accumulated in the element's first system:
+        # -Omega.G plus Omega.F_own of every outflow face.
+        for i in range(num_nodes):
+            for j in range(num_nodes):
+                base[i, j] = -(o0 * grad[0, i, j] + o1 * grad[1, i, j] + o2 * grad[2, i, j])
+        for face in range(6):
+            if orient[b, face] == 1:
+                own = face_own[bucket[b], face]
+                for i in range(num_nodes):
+                    for j in range(num_nodes):
+                        base[i, j] += o0 * own[0, i, j] + o1 * own[1, i, j] + o2 * own[2, i, j]
+        # Per-group systems A[b, g] = base + sigma_t[b, g] * M[b]; group 0
+        # last, because it overwrites the base it is built from.
+        for g in range(num_groups - 1, -1, -1):
+            sigma = sigma_t[b, g]
+            for i in range(num_nodes):
+                for j in range(num_nodes):
+                    lu[b * num_groups + g, i, j] = base[i, j] + sigma * mass[b, i, j]
+
+    # Interior upwind couplings, face-major.
+    k = 0
+    for face in range(6):
+        for b in range(num_bucket):
+            if upwind[b, face] >= 0:
+                nbr = face_neighbor[bucket[b], face]
+                cpl = cpl_mat[k]
+                cpl_pos[k] = b
+                cpl_src[k] = upwind[b, face]
+                for i in range(num_nodes):
+                    for j in range(num_nodes):
+                        cpl[i, j] = o0 * nbr[0, i, j] + o1 * nbr[1, i, j] + o2 * nbr[2, i, j]
+                k += 1
+
+
+def lu_factor_kernel(lu, piv):
+    """In-place partial-pivot LU of a ``(S, N, N)`` stack; 0, or 1 if singular."""
+    num_systems = lu.shape[0]
+    num_nodes = lu.shape[1]
+
+    for s in range(num_systems):
+        for k in range(num_nodes):
+            # First maximum of |column k| on and below the diagonal.
+            p = k
+            best = abs(lu[s, k, k])
+            for i in range(k + 1, num_nodes):
+                value = abs(lu[s, i, k])
+                if value > best:
+                    best = value
+                    p = i
+            piv[s, k] = p
+            if best == 0.0:
+                return 1
+            if p != k:
+                for j in range(num_nodes):
+                    tmp = lu[s, k, j]
+                    lu[s, k, j] = lu[s, p, j]
+                    lu[s, p, j] = tmp
+            pivot = lu[s, k, k]
+            for i in range(k + 1, num_nodes):
+                factor = lu[s, i, k] / pivot
+                for j in range(k + 1, num_nodes):
+                    lu[s, i, j] -= factor * lu[s, k, j]
+                # Store the multiplier in the eliminated column: packed LU.
+                lu[s, i, k] = factor
+    return 0
 
 
 def sweep_bucket_kernel(

@@ -12,7 +12,6 @@ discussion of Section IV-B.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["lapack_solve", "batched_lapack_solve", "lu_factor_solve"]
 
@@ -55,6 +54,8 @@ def lu_factor_solve(matrix: np.ndarray, rhs_batch: np.ndarray) -> np.ndarray:
     rhs_batch:
         ``(N,)`` or ``(k, N)`` right-hand sides.
     """
+    import scipy.linalg  # on first use: no other solver path needs scipy
+
     matrix = np.asarray(matrix, dtype=float)
     rhs_batch = np.asarray(rhs_batch, dtype=float)
     lu, piv = scipy.linalg.lu_factor(matrix)

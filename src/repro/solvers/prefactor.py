@@ -19,12 +19,14 @@ two local-solver families:
 
 A factorisation is the opaque pair ``(lu, piv)``; callers must treat it as
 a token produced by the matching ``factor`` function.
+
+SciPy is imported by the two LAPACK functions on first use, so runs that
+never factorise through LAPACK do not pay its import.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "batched_gaussian_lu_factor",
@@ -121,6 +123,8 @@ def batched_lapack_lu_factor(matrices: np.ndarray) -> BatchedLU:
     versions (which reject N-D input with ``ValueError``) the factorisation
     falls back to a per-system loop with identical results.
     """
+    import scipy.linalg
+
     matrices = np.asarray(matrices, dtype=float)
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
         raise ValueError(f"matrices must have shape (B, N, N), got {matrices.shape}")
@@ -136,6 +140,8 @@ def batched_lapack_lu_factor(matrices: np.ndarray) -> BatchedLU:
 
 def batched_lapack_lu_solve(factorisation: BatchedLU, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(B, N)`` right-hand sides against a LAPACK ``getrf`` result."""
+    import scipy.linalg
+
     lu, piv = factorisation
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != lu.shape[:2]:

@@ -6,18 +6,13 @@ The paper's first UnSNAP version explicitly assumes cycles do not occur and
 defers cycle breaking to future work.  We take the same position for the
 solve itself, but rather than silently hanging we detect cycles during
 schedule construction and raise :class:`CycleError` carrying the offending
-cells and a set of representative cycles (found with :mod:`networkx`) so that
-the failure is diagnosable.
+cells and a set of representative cycles (found with :mod:`networkx`,
+imported on that diagnostic path only) so that the failure is diagnosable.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:  # networkx is a hard dependency of the package, but keep the import local
-    import networkx as nx
-except ImportError:  # pragma: no cover - environment without networkx
-    nx = None
 
 from ..mesh.hexmesh import BOUNDARY, UnstructuredHexMesh
 from .graph import FaceClassification
@@ -63,7 +58,9 @@ def find_dependency_cycles(
         Cap on the number of cycles returned (cycle enumeration can be
         exponential).
     """
-    if nx is None:  # pragma: no cover - environment without networkx
+    try:
+        import networkx as nx
+    except ImportError:  # pragma: no cover - environment without networkx
         return []
 
     orientation = classification.orientation

@@ -1,25 +1,35 @@
 """The compiled engine tier: providers, kernel equivalence, budget races.
 
-The portable Python kernel (:mod:`repro.engines.compiled.kernels`) is the
-single source of truth; the cffi provider's C translation must reproduce it
-*bit for bit* (same loop nests, ``-ffp-contract=off``), which is asserted
-here on randomised data.  The remaining tests cover the provider selection
-override and the interaction between a factor-cache budget (spills mid-run)
-and ``update_materials`` (invalidation mid-run) -- the two must compose
-without ever reusing a stale factor.
+The portable Python kernels (:mod:`repro.engines.compiled.kernels`) are the
+single source of truth; the cffi provider's C translations must reproduce
+them *bit for bit* (same loop nests, ``-ffp-contract=off``), and the LU
+kernel must reproduce the numpy ``batched_gaussian_lu_factor`` bit for bit
+-- both asserted here on randomised data.  The remaining tests cover the
+provider selection override, the cold entry build (compiled, singular
+systems, each coupling matrix held once) and the interaction between a
+factor-cache budget (spills mid-run) and ``update_materials`` (invalidation
+mid-run) -- the two must compose without ever reusing a stale factor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from contract import EngineContract
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro
-from repro.config import ProblemSpec
+from repro.config import BoundaryCondition, ProblemSpec
 from repro.core.solver import TransportSolver
-from repro.engines import available_engines, get_engine
+from repro.engines import available_engines, batched, get_engine
 from repro.engines.compiled import providers
-from repro.engines.compiled.kernels import sweep_bucket_kernel
+from repro.engines.compiled.kernels import (
+    build_bucket_kernel,
+    lu_factor_kernel,
+    sweep_bucket_kernel,
+)
 from repro.materials.library import snap_option1_library
 from repro.solvers.prefactor import batched_gaussian_lu_factor
 from repro.telemetry import Telemetry
@@ -60,6 +70,51 @@ def _random_kernel_inputs(rng, num_cells=5, batch=3, groups=2, nodes=4, coupling
     )
 
 
+def _random_build_inputs(rng, nodes, num_cells=4, batch=3, groups=2):
+    """Random data for ``build_bucket_kernel``, every orientation present."""
+    bucket = np.asarray(rng.choice(num_cells, size=batch, replace=False), dtype=np.int64)
+    orient = np.asarray(rng.integers(-1, 2, size=(batch, 6)), dtype=np.int64)
+    orient[0, :3] = (-1, 0, 1)
+    # Some inflow faces sit on the domain boundary (negative upwind id).
+    upwind = np.where(
+        (orient == -1) & (rng.random((batch, 6)) < 0.7),
+        rng.integers(0, num_cells, size=(batch, 6)),
+        -1,
+    ).astype(np.int64)
+    num_cpl = int(np.count_nonzero(upwind >= 0))
+    return dict(
+        bucket=bucket,
+        orient=orient,
+        upwind=upwind,
+        direction=rng.standard_normal(3),
+        gradient=rng.standard_normal((batch, 3, nodes, nodes)),
+        face_own=rng.standard_normal((num_cells, 6, 3, nodes, nodes)),
+        face_neighbor=rng.standard_normal((num_cells, 6, 3, nodes, nodes)),
+        mass=rng.standard_normal((batch, nodes, nodes)),
+        sigma_t=rng.random((batch, groups)),
+        # NaN-poisoned outputs: every element must be written.
+        lu=np.full((batch * groups, nodes, nodes), np.nan),
+        cpl_pos=np.full(num_cpl, -7, dtype=np.int64),
+        cpl_src=np.full(num_cpl, -7, dtype=np.int64),
+        cpl_mat=np.full((num_cpl, nodes, nodes), np.nan),
+    )
+
+
+def _run_lu_kernel(kernel, matrices):
+    """``(status, lu, piv)`` of an in-place LU kernel on a copy of ``matrices``."""
+    lu = np.array(matrices, dtype=np.float64, order="C")
+    piv = np.full(lu.shape[:2], -7, dtype=np.int64)
+    return kernel(lu, piv), lu, piv
+
+
+def _swap_every_step(n, batch=2):
+    """Strongly diagonally dominant systems with the rows rotated up by one:
+    at every step but the last the pivot sits in the last row."""
+    rng = np.random.default_rng(n)
+    dominant = rng.standard_normal((batch, n, n)) + 4.0 * n * np.eye(n)
+    return np.roll(dominant, -1, axis=1)
+
+
 class TestProviders:
     def test_a_provider_is_selected(self):
         provider = providers.select_provider()
@@ -75,7 +130,7 @@ class TestProviders:
     @pytest.mark.skipif(not providers._cffi_available(), reason="cffi/cc missing")
     def test_cffi_kernel_matches_python_kernel_bit_for_bit(self):
         """The C translation is line-for-line: identical IEEE arithmetic."""
-        c_kernel = providers._build_cffi_kernel()
+        c_kernel = providers._build_cffi_kernels().sweep_bucket
         rng = np.random.default_rng(42)
         for assemble in (1, 0):
             for trial in range(5):
@@ -97,6 +152,55 @@ class TestProviders:
                 np.testing.assert_array_equal(py["psi"], cc["psi"])
                 np.testing.assert_array_equal(py["rhs"], cc["rhs"])
 
+    @pytest.mark.skipif(not providers._cffi_available(), reason="cffi/cc missing")
+    @pytest.mark.parametrize("nodes", (1, 8, 27, 64))
+    def test_cffi_build_and_lu_match_python_kernels_bit_for_bit(self, nodes):
+        """The cold path's C translations: assembly, couplings, LU and pivots."""
+        c_kernels = providers._build_cffi_kernels()
+        rng = np.random.default_rng(nodes)
+        data = _random_build_inputs(rng, nodes)
+        py = {k: np.copy(v) for k, v in data.items()}
+        cc = {k: np.copy(v) for k, v in data.items()}
+        build_bucket_kernel(**py)
+        c_kernels.build_bucket(**cc)
+        for name in ("lu", "cpl_pos", "cpl_src", "cpl_mat"):
+            np.testing.assert_array_equal(py[name], cc[name], err_msg=name)
+        assert not np.isnan(py["lu"]).any() and not np.isnan(py["cpl_mat"]).any()
+        assert (py["cpl_pos"] >= 0).all() and (py["cpl_src"] >= 0).all()
+
+        # Factor the assembled systems plus random ones that need row swaps.
+        for systems in (py["lu"], rng.standard_normal((3, nodes, nodes))):
+            py_status, py_lu, py_piv = _run_lu_kernel(lu_factor_kernel, systems)
+            c_status, c_lu, c_piv = _run_lu_kernel(c_kernels.lu_factor, systems)
+            assert py_status == c_status == 0
+            np.testing.assert_array_equal(py_lu, c_lu)
+            np.testing.assert_array_equal(py_piv, c_piv)
+
+    def test_build_kernel_matches_the_numpy_assembly(self):
+        """The kernel assembles the systems and couplings the numpy engines
+        do (to rounding: einsum reduces in its own order), packed face-major."""
+        executor = TransportSolver(SMALL).executor
+        angle = 3
+        direction = executor.quadrature.directions[angle]
+        asched = executor.schedule.for_angle(angle)
+        bucket = max(asched.buckets, key=len)
+        orient = asched.classification.orientation[bucket]
+        entry, _ = get_engine("compiled").build_entry(executor, direction, orient, bucket)
+
+        systems = batched.assemble_bucket_matrices(executor, direction, orient, bucket)
+        lu, piv = batched_gaussian_lu_factor(systems.reshape(entry["lu"].shape))
+        np.testing.assert_array_equal(entry["piv"], piv)
+        np.testing.assert_allclose(entry["lu"], lu, rtol=1e-12, atol=1e-14)
+        interior = batched.interior_upwind_couplings(executor, direction, orient, bucket)
+        offsets = entry["cpl_offsets"]
+        assert offsets[0] == 0 and offsets[6] == entry["cpl_pos"].shape[0] > 0
+        for face in range(6):
+            packed = slice(offsets[face], offsets[face + 1])
+            idx, neighbors, coupling = interior.get(face, ([], [], np.empty((0,) + lu.shape[1:])))
+            np.testing.assert_array_equal(entry["cpl_pos"][packed], idx)
+            np.testing.assert_array_equal(entry["cpl_src"][packed], neighbors)
+            np.testing.assert_allclose(entry["cpl_mat"][packed], coupling, rtol=1e-13, atol=1e-16)
+
     def test_cffi_module_cache_is_reused(self):
         if providers.select_provider().name != "cffi":
             pytest.skip("resolved provider is not cffi")
@@ -104,6 +208,111 @@ class TestProviders:
         first = providers._compile_cffi_module()
         second = providers._compile_cffi_module()
         assert first.__file__ == second.__file__
+
+
+class TestLuKernelReproducesTheNumpyFactorisation:
+    """``lu_factor_kernel`` == ``batched_gaussian_lu_factor``, bit for bit."""
+
+    @staticmethod
+    def _assert_same(matrices):
+        status, lu, piv = _run_lu_kernel(lu_factor_kernel, matrices)
+        try:
+            want_lu, want_piv = batched_gaussian_lu_factor(matrices)
+        except np.linalg.LinAlgError:
+            assert status == 1
+            return None
+        assert status == 0
+        np.testing.assert_array_equal(lu, want_lu)
+        np.testing.assert_array_equal(piv, want_piv)
+        return piv
+
+    # Small integers force exact pivot ties (and singular batches: both
+    # sides must then agree that the batch is singular); the floats include
+    # signed zeros, subnormals and wide magnitude ranges.
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: hnp.arrays(
+                np.float64,
+                st.tuples(st.integers(1, 3), st.just(n), st.just(n)),
+                elements=st.one_of(
+                    st.integers(-2, 2).map(float),
+                    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
+                ),
+            )
+        )
+    )
+    # A three-way tie in column 0 (the first maximum wins), a zero pivot
+    # column, and a batch whose second system only is singular.
+    @example(np.array([[[2.0, 1.0, 0.0], [-2.0, 0.0, 1.0], [2.0, 5.0, 3.0]]]))
+    @example(np.array([[[0.0, 1.0], [0.0, 2.0]]]))
+    @example(np.stack([np.eye(3), np.ones((3, 3))]))
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, matrices):
+        self._assert_same(matrices)
+
+    @pytest.mark.parametrize("n", (2, 8, 27))
+    def test_swap_at_every_step(self, n):
+        piv = self._assert_same(_swap_every_step(n))
+        assert (piv[:, :-1] == n - 1).all()  # every step but the last swaps
+
+
+@pytest.fixture
+def numpy_build_spy(monkeypatch):
+    """Names of the engines whose entry build reached the numpy assembly."""
+    callers: list[str] = []
+    for function in ("assemble_bucket_matrices", "interior_upwind_couplings"):
+        original = getattr(batched, function)
+
+        def spy(executor, *args, _original=original):
+            callers.append(executor.engine.name)
+            return _original(executor, *args)
+
+        monkeypatch.setattr(batched, function, spy)
+    return callers
+
+
+class TestCompiledColdBuild:
+    """The entry build runs in the kernels: no numpy assembly, same contract."""
+
+    def test_contract_clauses_never_reach_the_numpy_build(self, numpy_build_spy):
+        """``update_materials``, ``set_engine`` and a spilling budget are
+        registration-driven clauses; here they are shown to have run on the
+        compiled build -- only the *other* engine of the switch assembles
+        in numpy."""
+        contract = EngineContract("compiled")
+        contract.check_update_materials_invalidates()
+        contract.check_budget_bounded()
+        assert numpy_build_spy == []
+        contract.check_set_engine_invalidates()
+        assert numpy_build_spy and "compiled" not in numpy_build_spy
+
+    def test_singular_system_raises_and_caches_nothing(self):
+        solver = TransportSolver(SMALL)
+        matrices = solver.executor.matrices
+        for array in (matrices.mass, matrices.gradient, matrices.face_own):
+            array[...] = 0.0  # every local system is the zero matrix
+        with pytest.raises(
+            np.linalg.LinAlgError, match="^at least one matrix in the batch is singular$"
+        ):
+            solver.solve()
+        assert len(solver.executor.factor_cache) == 0
+
+    @pytest.mark.parametrize("boundary", ("vacuum", "reflective"))
+    def test_cache_holds_every_byte_once(self, boundary):
+        """``total_bytes`` is the footprint of distinct buffers: no coupling
+        matrix is kept twice, no view is counted beside its base."""
+        solver = TransportSolver(SMALL.with_(boundary=BoundaryCondition(kind=boundary)))
+        solver.solve()
+        cache = solver.executor.factor_cache
+        buffers = {}
+        for key in cache:
+            for array in cache[key].values():
+                assert isinstance(array, np.ndarray)
+                while array.base is not None:
+                    array = array.base
+                buffers[id(array)] = array
+        assert cache.total_bytes == sum(array.nbytes for array in buffers.values())
+        assert cache.total_bytes > 0
 
 
 class TestCompiledEngineBehaviour:
@@ -119,8 +328,6 @@ class TestCompiledEngineBehaviour:
         assert keys and all(key[0] == "compiled" for key in keys)
 
     def test_reflective_and_incident_boundaries(self):
-        from repro.config import BoundaryCondition
-
         for boundary in (
             BoundaryCondition(kind="reflective"),
             BoundaryCondition(kind="incident", incident_flux=1.5),

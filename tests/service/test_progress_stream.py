@@ -19,8 +19,10 @@ from repro.service import ServiceClient, ServiceDaemon, make_server
 
 
 def _handler_threads() -> int:
+    """Live gateway request handlers: ``ThreadingMixIn`` starts one thread per
+    connection and names it after its target, ``process_request_thread``."""
     return sum(
-        1 for t in threading.enumerate() if not t.name.startswith("pytest")
+        1 for t in threading.enumerate() if "process_request_thread" in t.name
     )
 
 
@@ -92,7 +94,9 @@ class TestClientDisconnect:
         client = ServiceClient(port=server.port)
         job = client.submit(spec=tiny_spec.to_dict())
         assert executor.started.wait(timeout=10.0)
-        baseline = _handler_threads()
+        # One connection per request: the submit's own handler thread may
+        # still be exiting, so let the count settle before adding to it.
+        assert _wait_until(lambda: _handler_threads() == 0)
 
         socks = []
         for _ in range(3):
@@ -103,13 +107,13 @@ class TestClientDisconnect:
             )
             assert sock.recv(1024)
             socks.append(sock)
-        assert _handler_threads() >= baseline + 3
+        assert _handler_threads() == 3
         for sock in socks:
             sock.close()
 
         # Handler threads notice the dead socket on their next write and
         # exit; the pool must drain back to where it started.
-        assert _wait_until(lambda: _handler_threads() <= baseline)
+        assert _wait_until(lambda: _handler_threads() == 0)
         executor.release.set()
         client.wait(job["id"], timeout=30.0)
 
