@@ -41,7 +41,7 @@ from .assembly import AssemblyTimings, ElementMatrices
 from .factor_cache import FactorCache
 from .flux import AngularFluxBank
 
-__all__ = ["BoundaryValues", "SweepResult", "SweepExecutor"]
+__all__ = ["BoundaryValues", "BoundaryFaceTable", "SweepResult", "SweepExecutor"]
 
 
 @dataclass
@@ -64,6 +64,45 @@ class BoundaryValues:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+@dataclass(frozen=True)
+class BoundaryFaceTable:
+    """Static per-executor index of the mesh's boundary faces.
+
+    Built from the mesh, the halo set and the schedule only (see
+    :meth:`SweepExecutor.boundary_table`), so it never changes over an
+    executor's life.  Boundary face ``faces[s]`` owns *slot* ``s``: the
+    per-angle epilogue walks the slots instead of rescanning the mesh, and
+    the ``compiled`` engine appends one ghost row per slot to an angle's
+    flux array so boundary inflow is read like any interior upwind trace.
+
+    Attributes
+    ----------
+    faces:
+        ``(F_b, 2)`` ``(cell, face)`` pairs, ``mesh.boundary_faces()``.
+    slot:
+        ``(E, 6)`` slot of every boundary face, ``-1`` on interior faces.
+    halo:
+        ``(F_b,)`` whether the face is a rank-interface (halo) face.
+    domain_faces:
+        The non-halo ``(cell, face)`` pairs in slot order -- the faces the
+        leakage tally runs over.
+    inflow:
+        Per angle, ``(slots, keys)``: the slots of the boundary faces with
+        orientation -1 and their ``(cell, face, angle)`` keys into
+        :class:`BoundaryValues`.
+    halo_outflow:
+        Per angle, the ``(cell, face, angle)`` keys of the halo faces with
+        orientation +1 -- the traces a sweep hands to the halo exchange.
+    """
+
+    faces: np.ndarray
+    slot: np.ndarray
+    halo: np.ndarray
+    domain_faces: list[tuple[int, int]]
+    inflow: list[tuple[np.ndarray, list[tuple[int, int, int]]]]
+    halo_outflow: list[list[tuple[int, int, int]]]
 
 
 @dataclass
@@ -205,6 +244,8 @@ class SweepExecutor:
         if halo_faces is not None and len(halo_faces):
             halo_faces = np.asarray(halo_faces, dtype=np.int64)
             self._halo_set = {(int(c), int(f)) for c, f in halo_faces[:, :2]}
+        # Built by the first sweep that needs it, never here: keeps set-up cheap.
+        self._boundary_table: BoundaryFaceTable | None = None
 
         #: Optional :class:`~repro.core.reflect.ReflectiveBoundary` helper.
         #: When set (by :class:`~repro.core.solver.TransportSolver` for
@@ -306,6 +347,51 @@ class SweepExecutor:
         self.materials = materials
         self.sigma_t = materials.sigma_t_per_cell()
         self.invalidate_factor_cache()
+
+    # ---------------------------------------------------------- boundary faces
+    @property
+    def sees_boundary_inflow(self) -> bool:
+        """Whether any sweep of this executor can meet nonzero boundary inflow.
+
+        True with a nonzero incident flux or with halo faces (the faces
+        lagged traces arrive on: rank interfaces, reflective boundaries).
+        Fixed by the constructor arguments; a vacuum single-rank executor
+        answers False and engines may skip boundary inflow altogether.
+        """
+        return self.boundary.incoming_value() != 0.0 or bool(self._halo_set)
+
+    def boundary_table(self) -> BoundaryFaceTable:
+        """The static :class:`BoundaryFaceTable`, built on first use.
+
+        A pure function of mesh, halo set and schedule: octant workers
+        racing on the first sweep build equal tables and either may win.
+        """
+        table = self._boundary_table
+        if table is None:
+            faces = self.mesh.boundary_faces()
+            cells, local = faces[:, 0], faces[:, 1]
+            slot = np.full((self.mesh.num_cells, 6), -1, dtype=np.int64)
+            slot[cells, local] = np.arange(faces.shape[0])
+            pairs = list(zip(cells.tolist(), local.tolist()))
+            halo = np.array([pair in self._halo_set for pair in pairs], dtype=bool)
+            inflow = []
+            halo_outflow = []
+            for angle in range(self.quadrature.num_angles):
+                orientation = self.schedule.for_angle(angle).classification.orientation
+                slots = np.nonzero(orientation[cells, local] == -1)[0]
+                inflow.append((slots, [(*pairs[s], angle) for s in slots.tolist()]))
+                halo_outflow.append(
+                    [(c, f, angle) for c, f in self._halo_set if orientation[c, f] == 1]
+                )
+            table = self._boundary_table = BoundaryFaceTable(
+                faces=faces,
+                slot=slot,
+                halo=halo,
+                domain_faces=[pair for pair, is_halo in zip(pairs, halo.tolist()) if not is_halo],
+                inflow=inflow,
+                halo_outflow=halo_outflow,
+            )
+        return table
 
     # ------------------------------------------------------------------ sweep
     def sweep(
@@ -468,19 +554,17 @@ class SweepExecutor:
         direction = self.quadrature.directions[angle]
         orientation = self.schedule.for_angle(angle).classification.orientation
         leak = np.zeros(self.num_groups, dtype=float)
-        for element, face in self.mesh.boundary_faces():
-            if (int(element), int(face)) in self._halo_set:
-                # Rank-interface faces are not part of the domain boundary;
-                # their flow is handled by the halo exchange.
-                continue
+        # Rank-interface (halo) faces are not part of the domain boundary;
+        # their flow is handled by the halo exchange.
+        for element, face in self.boundary_table().domain_faces:
             orient = orientation[element, face]
             if orient == 1:
                 leak += self.matrices.outgoing_partial_current(
-                    int(element), int(face), direction, psi_angle[element]
+                    element, face, direction, psi_angle[element]
                 )
             elif orient == -1 and incident != 0.0:
                 coupling = np.einsum(
-                    "d,dij->ij", direction, self.matrices.face_own[int(element), int(face)]
+                    "d,dij->ij", direction, self.matrices.face_own[element, face]
                 )
                 # Incident flux is constant over the face: psi = incident.
                 leak += incident * coupling.sum()
@@ -494,7 +578,5 @@ class SweepExecutor:
     ) -> None:
         if not self._halo_set:
             return
-        orientation = self.schedule.for_angle(angle).classification.orientation
-        for cell, face in self._halo_set:
-            if orientation[cell, face] == 1:
-                outgoing_halo[(cell, face, angle)] = psi_angle[cell].copy()
+        for key in self.boundary_table().halo_outflow[angle]:
+            outgoing_halo[key] = psi_angle[key[0]].copy()

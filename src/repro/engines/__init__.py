@@ -14,7 +14,8 @@ Built-in engines
 
 The other three share one bucket loop
 (:class:`~repro.engines.batched.BatchedSweepEngine`) and differ only in its
-two hooks -- how a bucket's entry is built and how the bucket is solved:
+three hooks -- the angle's flux array, how a bucket's entry is built and how
+the bucket is solved:
 
 ``vectorized``
     Batch-assembles and batch-solves all elements of a wavefront bucket at
@@ -27,7 +28,8 @@ two hooks -- how a bucket's entry is built and how the bucket is solved:
 ``compiled``
     JIT kernels (numba, or a cffi-built C module) for both the cached
     entry build -- assembly, upwind couplings, pivoted LU -- and the fused
-    per-bucket sweep (aliases: ``jit``, ``native``).  A *soft* dependency:
+    per-bucket sweep, boundary inflow included (aliases: ``jit``,
+    ``native``).  A *soft* dependency:
     registered only when a JIT provider is available, so the name never
     appears broken -- see :mod:`repro.engines.compiled`.
 """

@@ -33,6 +33,21 @@ and both :class:`~repro.core.solver.TransportSolver` and
 ``update_materials`` hooks that thread the invalidation through.  An engine
 may additionally define ``invalidate_cache(executor)`` to be notified before
 the cache is cleared.
+
+Boundary inflow
+---------------
+What flows in through a boundary face is fixed per sweep: the lagged trace
+``boundary_values`` holds for ``(cell, face, angle)``, otherwise the
+``incident`` value.  Lagged traces belong to the executor's declared
+``halo_faces`` (rank interfaces; every boundary face of a reflective
+problem): :attr:`SweepExecutor.sees_boundary_inflow` -- nonzero incident
+flux or a non-empty halo set, fixed at construction -- tells an engine
+whether boundary inflow can occur at all, and engines may build cached state
+on it (``compiled`` packs ghost-row couplings only then).  Traces on an
+executor built without halo faces are unsupported: ``compiled`` raises a
+``ValueError`` naming ``halo_faces`` rather than dropping them silently.
+:meth:`SweepExecutor.boundary_table` is the static index of boundary faces
+(slots, halo mask, per-angle inflow keys) shared by engines and epilogue.
 """
 
 from __future__ import annotations
@@ -91,10 +106,13 @@ class SweepEngine(Protocol):
         total_source:
             ``(E, G, N)`` nodal isotropic source (fixed + scattering).
         boundary_values:
-            Lagged upwind traces for rank-boundary faces (block Jacobi), or
-            ``None`` on a single rank.
+            Lagged upwind traces for rank-boundary faces (block Jacobi,
+            reflective mirrors), or ``None`` on a single rank.  Traces belong
+            to faces declared in the executor's ``halo_faces`` (see
+            "Boundary inflow" in the module notes).
         incident:
-            Incoming angular flux on domain-boundary inflow faces.
+            Incoming angular flux on domain-boundary inflow faces, and on
+            halo inflow faces ``boundary_values`` holds no trace for.
         timings:
             Accumulator for the assemble/solve wall-clock split; engines add
             their measured times and the number of systems solved.

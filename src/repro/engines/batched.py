@@ -12,8 +12,11 @@ The paper varies *how a bucket's local systems are solved* over one fixed
 sweep loop (Figure 2), and so does :class:`BatchedSweepEngine`: its
 ``sweep_angle`` owns the only bucket loop outside ``reference`` -- cache
 keying, hit/miss counting, bucket sampling and the assemble/solve split of
-Table II -- and delegates exactly two steps:
+Table II -- and delegates exactly three steps:
 
+``angle_flux``
+    the zeroed per-angle array the buckets are solved into (``(E, G, N)``
+    unless the engine appends rows of its own);
 ``build_entry``
     the (angle, bucket) invariants -- everything that depends only on the
     mesh geometry, the ordinate direction and the total cross sections, none
@@ -39,8 +42,10 @@ Three registered engines share the loop:
   bit while ``lapack`` keeps its distinct roundings on each name; solvers
   without the pair fall back to the hand-written batched LU.
 * ``compiled`` (:mod:`repro.engines.compiled`) subclasses the engine and
-  overrides both hooks with JIT kernel calls: a packed entry assembled and
-  factorised in compiled code, and one fused assemble-and-solve per bucket.
+  overrides the hooks with JIT kernel calls: a packed entry assembled and
+  factorised in compiled code, one fused assemble-and-solve per bucket, and
+  an angle array with one ghost row per boundary face behind the ``E``
+  element rows, so boundary inflow is one more packed upwind coupling.
 
 Equivalence with the reference engine is exact up to floating-point
 associativity (the property tests assert agreement to ~1e-12).  The cache
@@ -208,7 +213,7 @@ def _factor_pair(solver):
 
 
 class BatchedSweepEngine:
-    """One bucket loop, two hooks: build the (angle, bucket) entry, solve the bucket.
+    """One bucket loop, three hooks: the angle's array, the (angle, bucket) entry, the solve.
 
     Parameters
     ----------
@@ -234,9 +239,7 @@ class BatchedSweepEngine:
         asched = executor.schedule.for_angle(angle)
         orientation = asched.classification.orientation  # (E, 6)
         num_groups = executor.num_groups
-        psi_angle = np.zeros(
-            (executor.mesh.num_cells, num_groups, executor.num_nodes), dtype=float
-        )
+        psi_angle = self.angle_flux(executor, angle, boundary_values, incident)
         cache = executor.factor_cache if self.keep_factors else None
         # Keys are namespaced by the registered engine name so distinct
         # engines sharing one executor can never read each other's entries.
@@ -278,7 +281,18 @@ class BatchedSweepEngine:
             timings.systems_solved += systems
             if sample:
                 sampler.record(end - start, systems)
-        return psi_angle
+        return psi_angle[: executor.mesh.num_cells]
+
+    def angle_flux(self, executor, angle, boundary_values, incident):
+        """The zeroed array the angle's buckets are solved into.
+
+        Its first ``E`` rows are the ``(E, G, N)`` angular flux
+        ``sweep_angle`` returns; an engine may append rows of its own
+        behind them (``compiled`` keeps the boundary inflow there).
+        """
+        return np.zeros(
+            (executor.mesh.num_cells, executor.num_groups, executor.num_nodes), dtype=float
+        )
 
     def build_entry(self, executor, direction, orient, bucket):
         """Assemble the bucket's invariant systems and interior couplings.

@@ -10,7 +10,7 @@ all of it in the compiled kernels of :mod:`repro.engines.compiled.kernels`:
   packed interior upwind couplings straight into the entry's arrays,
   ``lu_factor`` factorises the systems in place -- with the Table II
   assembly/solve stamp taken between them;
-* every steady-state bucket is one ``sweep_bucket`` call: assemble the
+* every bucket of every sweep is one ``sweep_bucket`` call: assemble the
   volumetric source, subtract the packed couplings reading ``psi`` of
   earlier buckets, and run the pivoted forward/backward substitutions --
   one pass over preallocated contiguous arrays, no temporaries, no
@@ -18,18 +18,22 @@ all of it in the compiled kernels of :mod:`repro.engines.compiled.kernels`:
 
 The engine is a :class:`~repro.engines.batched.BatchedSweepEngine` with
 kept factors: the bucket loop, cache keying and hit/miss counting are the
-shared ones, and this module supplies only the two hooks.  It therefore
+shared ones, and this module supplies only the three hooks.  It therefore
 follows the executor's factor-cache lifecycle (:mod:`repro.engines.base`)
 exactly like ``prefactorized``; entries invalidated or spilled under a
 budget are rebuilt on the next miss, so the kernel never sees a stale
 factor.
 
-The boundary path (incident flux or lagged block-Jacobi traces) reuses the
-numpy :func:`~repro.engines.batched.assemble_bucket_rhs` for the irregular
-per-face scans -- handing it per-face slices of the packed couplings, which
-the entry holds exactly once -- and calls the kernel in solve-only mode, so
-vacuum interior sweeps -- the hot path of every benchmark -- never leave
-compiled code.
+Boundary inflow is one more upwind coupling.  An incident flux, a lagged
+block-Jacobi trace and a reflected trace are each an upwind nodal vector
+times ``Omega . face_neighbor``, so on an executor that can see boundary
+inflow (:attr:`SweepExecutor.sees_boundary_inflow`) the angle's array holds
+one *ghost row* per boundary face behind its ``E`` element rows (the slots
+of the executor's :class:`~repro.core.sweep.BoundaryFaceTable`):
+``build_entry`` points the coupling of every boundary inflow face at its
+row and ``angle_flux`` fills the rows before the angle's first bucket.  The
+kernels cannot tell a ghost row from a neighbour, so no sweep leaves them;
+a vacuum single-rank executor packs no ghost couplings and has no rows.
 
 The factorisation is the tier's own, matching the substitution loops baked
 into the sweep kernel; the executor's local-solver choice selects the
@@ -47,7 +51,7 @@ import time
 import numpy as np
 
 from ...mesh.hexmesh import BOUNDARY
-from ..batched import BatchedSweepEngine, assemble_bucket_rhs
+from ..batched import BatchedSweepEngine
 from ..registry import register_engine
 from .providers import as_contiguous_f64, as_contiguous_i64, select_provider
 
@@ -88,21 +92,21 @@ class CompiledSweepEngine(BatchedSweepEngine):
 
         bucket = as_contiguous_i64(bucket)
         orient = as_contiguous_i64(orient)
-        # Interior upwind neighbour per inflow face, BOUNDARY (negative)
-        # wherever there is none; its per-face counts size the packed
-        # couplings and slice them on the boundary path.
-        upwind = as_contiguous_i64(
-            np.where(orient == -1, executor.mesh.face_neighbors[bucket], BOUNDARY)
-        )
-        offsets = np.zeros(7, dtype=np.int64)
-        np.cumsum(np.count_nonzero(upwind != BOUNDARY, axis=0), out=offsets[1:])
-        num_cpl = int(offsets[6])
+        # Row of the angle's array holding each inflow face's upwind nodal
+        # vector: the interior neighbour, or a boundary face's ghost row;
+        # BOUNDARY (negative) wherever there is none.
+        upwind = np.where(orient == -1, executor.mesh.face_neighbors[bucket], BOUNDARY)
+        if executor.sees_boundary_inflow:
+            slot = executor.boundary_table().slot[bucket]
+            ghost = (orient == -1) & (slot >= 0)
+            upwind[ghost] = executor.mesh.num_cells + slot[ghost]
+        upwind = as_contiguous_i64(upwind)
+        num_cpl = int(np.count_nonzero(upwind != BOUNDARY))
         entry = {
             "mass": as_contiguous_f64(matrices.mass[bucket]),
             "cpl_pos": np.empty(num_cpl, dtype=np.int64),
             "cpl_src": np.empty(num_cpl, dtype=np.int64),
             "cpl_mat": np.empty((num_cpl, num_nodes, num_nodes), dtype=np.float64),
-            "cpl_offsets": offsets,
             "lu": np.empty((systems, num_nodes, num_nodes), dtype=np.float64),
             "piv": np.empty((systems, num_nodes), dtype=np.int64),
             "rhs": np.empty((bucket.shape[0], num_groups, num_nodes), dtype=np.float64),
@@ -123,42 +127,40 @@ class CompiledSweepEngine(BatchedSweepEngine):
             raise np.linalg.LinAlgError("at least one matrix in the batch is singular")
         return entry, stamp
 
+    def angle_flux(self, executor, angle, boundary_values, incident):
+        """The angle's array, boundary inflow in its ghost rows: incident, then lagged."""
+        have_lagged = boundary_values is not None and len(boundary_values) > 0
+        if not executor.sees_boundary_inflow:
+            if have_lagged:
+                raise ValueError(
+                    "lagged boundary traces on an executor built without halo_faces: "
+                    "the compiled engine only reads traces of declared halo_faces"
+                )
+            return super().angle_flux(executor, angle, boundary_values, incident)
+        num_cells = executor.mesh.num_cells
+        table = executor.boundary_table()
+        rows = num_cells + table.faces.shape[0]
+        psi_angle = np.zeros((rows, executor.num_groups, executor.num_nodes), dtype=np.float64)
+        if incident != 0.0:
+            psi_angle[num_cells:] = incident
+        if have_lagged:
+            slots, keys = table.inflow[angle]
+            lagged = boundary_values.values.get
+            for slot, key in zip(slots.tolist(), keys):
+                trace = lagged(key)
+                if trace is not None:
+                    psi_angle[num_cells + slot] = trace
+        return psi_angle
+
     def solve_bucket(
         self, executor, angle, entry, orient, bucket, psi_angle,
         total_source, boundary_values, incident,
     ):
-        """One kernel call: fused assemble + solve, or solve-only on the boundary path."""
-        have_lagged = boundary_values is not None and len(boundary_values) > 0
-        if have_lagged or incident != 0.0:
-            # Boundary terms fall back to the shared numpy RHS assembly and
-            # the kernel only substitutes.
-            rhs = as_contiguous_f64(
-                assemble_bucket_rhs(
-                    executor, angle, orient, bucket, psi_angle,
-                    total_source, boundary_values, incident, _interior_slices(entry),
-                )
-            )
-            assemble = 0
-        else:
-            # Vacuum interior sweep: the kernel assembles and solves.  It
-            # does not separate the two; its whole time is booked as solve,
-            # keeping the one-time entry build as the assembly share.
-            rhs = entry["rhs"]
-            assemble = 1
+        """One kernel call, fused assemble + solve: all of it is booked as solve time."""
         stamp = time.perf_counter()
         self._provider.kernels().sweep_bucket(
             as_contiguous_i64(bucket), entry["mass"], total_source,
             entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"],
-            entry["lu"], entry["piv"], rhs, assemble, psi_angle,
+            entry["lu"], entry["piv"], entry["rhs"], psi_angle,
         )
         return stamp
-
-
-def _interior_slices(entry) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The packed couplings as ``assemble_bucket_rhs``'s per-face mapping (views, no copies)."""
-    offsets = entry["cpl_offsets"].tolist()
-    return {
-        face: (entry["cpl_pos"][lo:hi], entry["cpl_src"][lo:hi], entry["cpl_mat"][lo:hi])
-        for face, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
-        if hi > lo
-    }

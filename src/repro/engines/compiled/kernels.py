@@ -7,13 +7,13 @@ numerics -- the cold entry build as well as the steady sweep:
     assembles the bucket's local systems (``-Omega.G`` plus the outflow
     own-face terms plus ``sigma_t * M``) straight into the ``(B*G, N, N)``
     array the factorisation then overwrites, and the direction-weighted
-    couplings ``Omega . face_neighbor`` of the interior inflow faces
-    straight into the packed ``cpl_pos``/``cpl_src``/``cpl_mat`` arrays;
+    couplings ``Omega . face_neighbor`` of the inflow faces with an upwind
+    row straight into the packed ``cpl_pos``/``cpl_src``/``cpl_mat`` arrays;
 ``lu_factor_kernel``
     LU-factorises those systems in place with partial pivoting;
 ``sweep_bucket_kernel``
     one fused per-bucket pass that assembles the right-hand sides
-    (volumetric source term minus the packed interior upwind couplings) and
+    (volumetric source term minus the packed upwind couplings) and
     runs the pivoted forward/backward substitutions against the packed
     factors, writing the bucket's angular flux straight into ``psi``.
 
@@ -38,23 +38,26 @@ face_neighbor, mass, sigma_t, lu, cpl_pos, cpl_src, cpl_mat)`` with
 * ``bucket`` -- ``(B,)`` int64 global element ids of the wavefront bucket;
 * ``orient`` -- ``(B, 6)`` int64 face orientation of the bucket elements for
   this direction (+1 outflow, -1 inflow, 0 tangential);
-* ``upwind`` -- ``(B, 6)`` int64 global id of the interior upwind neighbour
-  across each inflow face, negative everywhere else (outflow and tangential
-  faces, and inflow faces on the domain boundary);
+* ``upwind`` -- ``(B, 6)`` int64 row of ``psi`` holding the upwind nodal
+  vector across each inflow face -- the interior neighbour's element id, or
+  ``E + slot`` for the ghost row of a boundary face -- negative everywhere
+  else (outflow and tangential faces, and boundary inflow faces of an
+  executor that sees no boundary inflow);
 * ``direction`` -- ``(3,)`` ordinate direction ``Omega``;
 * ``gradient``/``mass``/``sigma_t`` -- ``(B, 3, N, N)`` gradient matrices,
   ``(B, N, N)`` mass matrices and ``(B, G)`` total cross sections *of the
   bucket elements*;
 * ``face_own``/``face_neighbor`` -- the full ``(E, 6, 3, N, N)`` face
   coupling matrices (indexed through ``bucket``: only the outflow
-  respectively interior-inflow faces are ever read);
+  respectively coupled inflow faces are ever read);
 * ``lu`` -- ``(B*G, N, N)`` output, system ``b*G + g`` belonging to element
   ``b``, group ``g``;
 * ``cpl_pos``/``cpl_src``/``cpl_mat`` -- ``(K,)``, ``(K,)`` and
   ``(K, N, N)`` outputs, ``K`` the number of non-negative ``upwind``
-  entries: bucket position, global upwind element id and coupling matrix of
-  every interior inflow face, packed face-major (all of face 0 in bucket
-  order, then face 1, ...), so one face's couplings are a contiguous slice.
+  entries: bucket position, upwind ``psi`` row and coupling matrix of every
+  coupled inflow face, packed face-major (all of face 0 in bucket order,
+  then face 1, ...).  A ghost row is coupled exactly like a neighbour: an
+  upwind nodal vector times ``Omega . face_neighbor``.
 
 ``lu_factor_kernel(lu, piv)`` factorises in place: on return ``lu`` holds
 the packed factors (unit lower triangle below the diagonal) and the
@@ -69,16 +72,18 @@ garbage.
 Sweep contract
 --------------
 ``sweep_bucket_kernel(bucket, mass, source, cpl_pos, cpl_src, cpl_mat, lu,
-piv, rhs, assemble, psi)`` with ``bucket``, ``mass``, ``cpl_*``, ``lu`` and
-``piv`` as above and
+piv, rhs, psi)`` with ``bucket``, ``mass``, ``cpl_*``, ``lu`` and ``piv`` as
+above and
 
 * ``source`` -- ``(E, G, N)`` full per-ordinate total source (indexed
   through ``bucket``);
-* ``rhs`` -- ``(B, G, N)`` scratch; holds the assembled right-hand sides
-  when ``assemble`` is nonzero, otherwise arrives pre-assembled (the
-  boundary path) and the kernel only substitutes.  Destroyed either way.
-* ``psi`` -- ``(E, G, N)`` full angular flux; upwind values are read from
-  earlier buckets and the bucket's solution is written back.
+* ``rhs`` -- ``(B, G, N)`` scratch only: the kernel assembles the right-hand
+  sides into it and substitutes in place; nothing is read from it;
+* ``psi`` -- ``(E + F_b, G, N)`` angular flux: rows ``< E`` are the
+  elements (upwind values are read from earlier buckets and the bucket's
+  solution is written back), rows ``>= E`` the read-only ghost rows, one
+  per boundary face, holding the boundary inflow the engine filled in
+  before the angle's first bucket (``F_b`` is 0 when nothing points there).
 """
 
 from __future__ import annotations
@@ -168,34 +173,31 @@ def lu_factor_kernel(lu, piv):
     return 0
 
 
-def sweep_bucket_kernel(
-    bucket, mass, source, cpl_pos, cpl_src, cpl_mat, lu, piv, rhs, assemble, psi
-):
+def sweep_bucket_kernel(bucket, mass, source, cpl_pos, cpl_src, cpl_mat, lu, piv, rhs, psi):
     """Fused assemble + factored-solve of one wavefront bucket (see module docs)."""
     num_bucket = bucket.shape[0]
     num_groups = rhs.shape[1]
     num_nodes = rhs.shape[2]
 
-    if assemble != 0:
-        # Volumetric source: rhs[b, g, i] = sum_j source[e, g, j] * mass[b, i, j].
-        for b in range(num_bucket):
-            element = bucket[b]
-            for g in range(num_groups):
-                for i in range(num_nodes):
-                    acc = 0.0
-                    for j in range(num_nodes):
-                        acc += source[element, g, j] * mass[b, i, j]
-                    rhs[b, g, i] = acc
-        # Interior upwind couplings: psi of earlier buckets is final.
-        for k in range(cpl_pos.shape[0]):
-            b = cpl_pos[k]
-            upwind = cpl_src[k]
-            for g in range(num_groups):
-                for i in range(num_nodes):
-                    acc = 0.0
-                    for j in range(num_nodes):
-                        acc += psi[upwind, g, j] * cpl_mat[k, i, j]
-                    rhs[b, g, i] -= acc
+    # Volumetric source: rhs[b, g, i] = sum_j source[e, g, j] * mass[b, i, j].
+    for b in range(num_bucket):
+        element = bucket[b]
+        for g in range(num_groups):
+            for i in range(num_nodes):
+                acc = 0.0
+                for j in range(num_nodes):
+                    acc += source[element, g, j] * mass[b, i, j]
+                rhs[b, g, i] = acc
+    # Upwind couplings: psi of earlier buckets is final, ghost rows are given.
+    for k in range(cpl_pos.shape[0]):
+        b = cpl_pos[k]
+        upwind = cpl_src[k]
+        for g in range(num_groups):
+            for i in range(num_nodes):
+                acc = 0.0
+                for j in range(num_nodes):
+                    acc += psi[upwind, g, j] * cpl_mat[k, i, j]
+                rhs[b, g, i] -= acc
 
     # Pivoted forward/backward substitution against the packed LU, in place
     # in rhs, then scatter into psi.  Mirrors batched_gaussian_lu_solve.

@@ -119,8 +119,8 @@ void sweep_bucket(const int64_t *bucket, const double *mass,
                   const double *source, int64_t num_cpl,
                   const int64_t *cpl_pos, const int64_t *cpl_src,
                   const double *cpl_mat, const double *lu,
-                  const int64_t *piv, double *rhs, int assemble,
-                  double *psi, int64_t num_bucket, int64_t num_groups,
+                  const int64_t *piv, double *rhs, double *psi,
+                  int64_t num_bucket, int64_t num_groups,
                   int64_t num_nodes);
 """
 
@@ -227,37 +227,35 @@ void sweep_bucket(const int64_t *bucket, const double *mass,
                   const double *source, int64_t num_cpl,
                   const int64_t *cpl_pos, const int64_t *cpl_src,
                   const double *cpl_mat, const double *lu,
-                  const int64_t *piv, double *rhs, int assemble,
-                  double *psi, int64_t num_bucket, int64_t num_groups,
+                  const int64_t *piv, double *rhs, double *psi,
+                  int64_t num_bucket, int64_t num_groups,
                   int64_t num_nodes)
 {
     const int64_t G = num_groups, N = num_nodes, NN = N * N;
 
-    if (assemble) {
-        for (int64_t b = 0; b < num_bucket; ++b) {
-            const double *m = mass + b * NN;
-            const double *src = source + bucket[b] * G * N;
-            double *out = rhs + b * G * N;
-            for (int64_t g = 0; g < G; ++g) {
-                for (int64_t i = 0; i < N; ++i) {
-                    double acc = 0.0;
-                    for (int64_t j = 0; j < N; ++j)
-                        acc += src[g * N + j] * m[i * N + j];
-                    out[g * N + i] = acc;
-                }
+    for (int64_t b = 0; b < num_bucket; ++b) {
+        const double *m = mass + b * NN;
+        const double *src = source + bucket[b] * G * N;
+        double *out = rhs + b * G * N;
+        for (int64_t g = 0; g < G; ++g) {
+            for (int64_t i = 0; i < N; ++i) {
+                double acc = 0.0;
+                for (int64_t j = 0; j < N; ++j)
+                    acc += src[g * N + j] * m[i * N + j];
+                out[g * N + i] = acc;
             }
         }
-        for (int64_t k = 0; k < num_cpl; ++k) {
-            const double *c = cpl_mat + k * NN;
-            const double *up = psi + cpl_src[k] * G * N;
-            double *out = rhs + cpl_pos[k] * G * N;
-            for (int64_t g = 0; g < G; ++g) {
-                for (int64_t i = 0; i < N; ++i) {
-                    double acc = 0.0;
-                    for (int64_t j = 0; j < N; ++j)
-                        acc += up[g * N + j] * c[i * N + j];
-                    out[g * N + i] -= acc;
-                }
+    }
+    for (int64_t k = 0; k < num_cpl; ++k) {
+        const double *c = cpl_mat + k * NN;
+        const double *up = psi + cpl_src[k] * G * N;
+        double *out = rhs + cpl_pos[k] * G * N;
+        for (int64_t g = 0; g < G; ++g) {
+            for (int64_t i = 0; i < N; ++i) {
+                double acc = 0.0;
+                for (int64_t j = 0; j < N; ++j)
+                    acc += up[g * N + j] * c[i * N + j];
+                out[g * N + i] -= acc;
             }
         }
     }
@@ -390,9 +388,7 @@ def _build_cffi_kernels() -> Kernels:
             lu.shape[1],
         )
 
-    def sweep_bucket(
-        bucket, mass, source, cpl_pos, cpl_src, cpl_mat, lu, piv, rhs, assemble, psi
-    ):
+    def sweep_bucket(bucket, mass, source, cpl_pos, cpl_src, cpl_mat, lu, piv, rhs, psi):
         lib.sweep_bucket(
             ffi.from_buffer(i64, bucket),
             ffi.from_buffer(f64, mass),
@@ -404,7 +400,6 @@ def _build_cffi_kernels() -> Kernels:
             ffi.from_buffer(f64, lu),
             ffi.from_buffer(i64, piv),
             ffi.from_buffer(f64, rhs, require_writable=True),
-            int(assemble),
             ffi.from_buffer(f64, psi, require_writable=True),
             bucket.shape[0],
             rhs.shape[1],

@@ -12,6 +12,7 @@ from repro.core.reflect import (
     mirror_node_permutations,
 )
 from repro.core.sweep import BoundaryValues
+from repro.engines import available_engines
 from repro.fem.lagrange import LagrangeHexBasis
 from repro.materials import snap_option1_materials
 
@@ -97,3 +98,25 @@ class TestInfiniteMediumLimit:
         balance = reflected_run.balance
         assert balance.relative_residual() < 1e-9
         np.testing.assert_array_equal(balance.leakage, np.zeros(2))
+
+
+@pytest.mark.skipif(
+    "compiled" not in available_engines(), reason="no JIT provider (numba/cffi) available"
+)
+class TestCompiledTierReflects:
+    """The compiled tier reads the mirrored traces from its ghost rows --
+    the same infinite-medium limit, whichever provider built the kernels."""
+
+    def test_infinite_medium_limit_on_ghost_rows(self, reflected_run):
+        compiled = repro.run(REFLECTED, engine="compiled")
+        material = snap_option1_materials(2, REFLECTED.scattering_ratio)
+        expected = material.infinite_medium_flux(np.ones(2))
+        for g in range(2):
+            np.testing.assert_allclose(compiled.scalar_flux[:, g, :], expected[g], rtol=1e-9)
+        np.testing.assert_array_equal(compiled.leakage, np.zeros(2))
+        assert compiled.balance.relative_residual() < 1e-9
+        # Same iteration, sweep for sweep, as the reference engine.
+        assert compiled.total_inners == reflected_run.total_inners
+        np.testing.assert_allclose(
+            compiled.scalar_flux, reflected_run.scalar_flux, rtol=1e-11, atol=0
+        )

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro.config import BoundaryCondition
+from repro.engines import available_engines
 from repro.materials import snap_driver_library, snap_option1_library
 from repro.telemetry import Telemetry
 
@@ -82,6 +83,21 @@ class TestInfiniteMediumPhysics:
         lu = repro.run(QUICK, engine="prefactorized")
         np.testing.assert_array_equal(ge.scalar_flux, lu.scalar_flux)
         assert ge.k_history == lu.k_history
+
+    @pytest.mark.skipif(
+        "compiled" not in available_engines(), reason="no JIT provider (numba/cffi) available"
+    )
+    def test_compiled_tier_finds_the_same_k_in_the_same_iterations(self, converged):
+        """Every sweep of a reflective run reads ghost rows on the compiled
+        tier: same power iteration as the reference engine, k to rounding."""
+        compiled = repro.run(REFLECTED, engine="compiled")
+        assert compiled.k_effective == pytest.approx(0.6, abs=1e-8)
+        assert len(compiled.k_history) == len(converged.k_history)
+        assert compiled.total_inners == converged.total_inners
+        np.testing.assert_allclose(compiled.k_history, converged.k_history, rtol=1e-12)
+        np.testing.assert_allclose(
+            compiled.scalar_flux, converged.scalar_flux, rtol=1e-11, atol=0
+        )
 
     def test_unconverged_run_reports_it(self):
         result = repro.run(QUICK.with_(max_power_iters=2))

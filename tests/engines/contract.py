@@ -13,6 +13,10 @@ or a third-party plugin -- must honour the same behavioural contract:
   leaves the cache empty and counts nothing; engines registered as several
   instances of one class (``vectorized`` / ``prefactorized``) never read
   each other's entries on a shared executor;
+* **boundary inflow** -- incident-flux, lagged (block-Jacobi subdomain,
+  traces present on some inflow faces and absent on others) and reflective
+  sweeps agree with ``reference`` in flux, leakage and every outgoing halo
+  trace, for orders 1 and 2, and are bit-identical across octant threads;
 * **one epilogue** -- the serial and the octant-parallel sweep weight, bank
   and halo-collect every angle identically: same ``outgoing_halo`` keys and
   traces, same angular-flux bank, bit for bit;
@@ -37,8 +41,9 @@ from __future__ import annotations
 import numpy as np
 
 import repro
-from repro.config import ProblemSpec
+from repro.config import BoundaryCondition, ProblemSpec
 from repro.core.solver import TransportSolver
+from repro.core.sweep import BoundaryValues
 from repro.engines import available_engines, get_engine
 from repro.materials.library import snap_option1_library
 from repro.parallel.block_jacobi import BlockJacobiDriver
@@ -86,6 +91,85 @@ class EngineContract:
         scale = float(np.max(np.abs(baseline)))
         diff = float(np.max(np.abs(flux - baseline))) / scale
         assert diff <= tolerance, f"{self.engine}: relative deviation {diff:.3e}"
+
+    # ------------------------------------------------------- boundary inflow
+    @staticmethod
+    def _boundary_inflow_sweep(spec: ProblemSpec, scenario: str, octant_threads: int = 0):
+        """The last sweep of one boundary-inflow scenario (see the clause)."""
+        threads = (
+            {"octant_parallel": True, "num_threads": octant_threads} if octant_threads else {}
+        )
+        if scenario == "lagged":
+            boundary = BoundaryCondition(kind="incident", incident_flux=0.5)
+            spec = spec.with_(boundary=boundary, npex=2, npey=1)
+            executor = BlockJacobiDriver(spec, **threads).executors[0]
+        else:
+            boundary = (
+                BoundaryCondition(kind="incident", incident_flux=1.5)
+                if scenario == "incident"
+                else BoundaryCondition(kind="reflective")
+            )
+            executor = TransportSolver(spec.with_(boundary=boundary), **threads).executor
+        rng = np.random.default_rng(7)
+        shape = (executor.mesh.num_cells, executor.num_groups, executor.num_nodes)
+        source = 1.0 + rng.random(shape)
+        lagged = BoundaryValues()
+        if scenario == "lagged":
+            # A trace on every other inflow halo face: within one bucket some
+            # faces read their lagged value, the rest fall back to incident.
+            for angle in range(executor.quadrature.num_angles):
+                orientation = executor.schedule.for_angle(angle).classification.orientation
+                inflow = [pair for pair in sorted(executor._halo_set) if orientation[pair] == -1]
+                for cell, face in inflow[angle % 2 :: 2]:
+                    lagged.put(cell, face, angle, 1.0 + rng.random(shape[1:]))
+            assert len(lagged) > 0
+        result = executor.sweep(source, lagged)
+        if scenario == "reflective":
+            # Two more sweeps, each consuming the mirrored traces of the last.
+            for _ in range(2):
+                executor.reflective.update(lagged, result.outgoing_halo)
+                result = executor.sweep(source, lagged)
+        return result
+
+    def check_boundary_inflow(self, tolerance: float = 1e-12) -> None:
+        """Boundary inflow of every kind agrees with ``reference``.
+
+        Incident flux, lagged block-Jacobi traces (mixed with incident
+        fall-backs) and reflected traces, orders 1 and 2: flux, leakage and
+        every ``outgoing_halo`` trace match the reference engine to
+        ``tolerance``; octant-parallel sweeps on 1 and 2 threads are
+        bit-identical to each other and collect the serial sweep's traces.
+        """
+
+        def close(got, want, what):
+            scale = float(np.max(np.abs(want))) or 1.0
+            diff = float(np.max(np.abs(got - want))) / scale
+            assert diff <= tolerance, f"{self.engine}: {what} deviates {diff:.3e}"
+
+        for order in (1, 2):
+            spec = self.spec.with_(order=order)
+            for scenario in ("incident", "lagged", "reflective"):
+                what = f"order {order} {scenario}"
+                want = self._boundary_inflow_sweep(spec.with_(engine="reference"), scenario)
+                serial = self._boundary_inflow_sweep(spec, scenario)
+                close(serial.scalar_flux, want.scalar_flux, f"{what} flux")
+                close(serial.leakage, want.leakage, f"{what} leakage")
+                assert set(serial.outgoing_halo) == set(want.outgoing_halo), what
+                assert serial.outgoing_halo or scenario == "incident", what
+                for key, trace in want.outgoing_halo.items():
+                    close(serial.outgoing_halo[key], trace, f"{what} halo trace {key}")
+
+                one, two = (
+                    self._boundary_inflow_sweep(spec, scenario, octant_threads=threads)
+                    for threads in (1, 2)
+                )
+                assert np.array_equal(one.scalar_flux, two.scalar_flux), what
+                assert np.array_equal(one.leakage, two.leakage), what
+                close(one.scalar_flux, serial.scalar_flux, f"{what} octant flux")
+                for octant in (one, two):
+                    assert set(octant.outgoing_halo) == set(serial.outgoing_halo), what
+                    for key, trace in serial.outgoing_halo.items():
+                        assert np.array_equal(octant.outgoing_halo[key], trace), (what, key)
 
     # -------------------------------------------------- factor-cache lifecycle
     def check_update_materials_invalidates(self) -> None:
@@ -293,6 +377,7 @@ class EngineContract:
         """Every clause, in one call (used by plugin smoke tests)."""
         self.check_mms_order()
         self.check_reference_agreement()
+        self.check_boundary_inflow()
         self.check_update_materials_invalidates()
         self.check_set_engine_invalidates()
         self.check_cache_policy()

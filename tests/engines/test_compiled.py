@@ -6,7 +6,8 @@ them *bit for bit* (same loop nests, ``-ffp-contract=off``), and the LU
 kernel must reproduce the numpy ``batched_gaussian_lu_factor`` bit for bit
 -- both asserted here on randomised data.  The remaining tests cover the
 provider selection override, the cold entry build (compiled, singular
-systems, each coupling matrix held once) and the interaction between a
+systems, each coupling matrix held once), the ghost rows that carry boundary
+inflow through the same kernels, and the interaction between a
 factor-cache budget (spills mid-run) and ``update_materials`` (invalidation
 mid-run) -- the two must compose without ever reusing a stale factor.
 """
@@ -20,9 +21,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import hashlib
+
 import repro
 from repro.config import BoundaryCondition, ProblemSpec
 from repro.core.solver import TransportSolver
+from repro.core.sweep import BoundaryValues
 from repro.engines import available_engines, batched, get_engine
 from repro.engines.compiled import providers
 from repro.engines.compiled.kernels import (
@@ -31,6 +35,8 @@ from repro.engines.compiled.kernels import (
     sweep_bucket_kernel,
 )
 from repro.materials.library import snap_option1_library
+from repro.mesh.hexmesh import BOUNDARY
+from repro.parallel.block_jacobi import BlockJacobiDriver
 from repro.solvers.prefactor import batched_gaussian_lu_factor
 from repro.telemetry import Telemetry
 
@@ -43,19 +49,24 @@ SMALL = ProblemSpec(nx=3, ny=3, nz=3, angles_per_octant=2, num_groups=2,
                     num_inners=3, num_outers=2, engine="compiled")
 
 
-def _random_kernel_inputs(rng, num_cells=5, batch=3, groups=2, nodes=4, couplings=4):
-    """Well-conditioned random data exercising both kernel phases."""
+def _random_kernel_inputs(rng, nodes, num_cells=5, ghosts=3, batch=3, groups=2, couplings=6):
+    """Well-conditioned random data exercising both kernel phases.
+
+    ``psi`` carries ``ghosts`` rows behind the ``num_cells`` element rows
+    and the couplings read from both (the first from the last ghost row).
+    """
     bucket = np.asarray(rng.choice(num_cells, size=batch, replace=False), dtype=np.int64)
     mass = rng.standard_normal((batch, nodes, nodes))
     source = rng.standard_normal((num_cells, groups, nodes))
     cpl_pos = np.asarray(rng.integers(0, batch, size=couplings), dtype=np.int64)
-    cpl_src = np.asarray(rng.integers(0, num_cells, size=couplings), dtype=np.int64)
+    cpl_src = np.asarray(rng.integers(0, num_cells + ghosts, size=couplings), dtype=np.int64)
+    cpl_src[0] = num_cells + ghosts - 1
     cpl_mat = rng.standard_normal((couplings, nodes, nodes))
     systems = rng.standard_normal((batch * groups, nodes, nodes))
     systems += nodes * np.eye(nodes)  # diagonally dominant: safe pivots
     lu, piv = batched_gaussian_lu_factor(systems)
-    rhs = np.zeros((batch, groups, nodes))
-    psi = rng.standard_normal((num_cells, groups, nodes))
+    rhs = np.full((batch, groups, nodes), np.nan)  # scratch: never read
+    psi = rng.standard_normal((num_cells + ghosts, groups, nodes))
     return dict(
         bucket=bucket,
         mass=np.ascontiguousarray(mass),
@@ -128,29 +139,24 @@ class TestProviders:
         assert get_engine("native") is engine
 
     @pytest.mark.skipif(not providers._cffi_available(), reason="cffi/cc missing")
-    def test_cffi_kernel_matches_python_kernel_bit_for_bit(self):
-        """The C translation is line-for-line: identical IEEE arithmetic."""
+    @pytest.mark.parametrize("nodes", (1, 8, 27, 64))
+    def test_cffi_kernel_matches_python_kernel_bit_for_bit(self, nodes):
+        """The C translation is line-for-line: identical IEEE arithmetic,
+        ghost rows (``cpl_src >= E``) included."""
         c_kernel = providers._build_cffi_kernels().sweep_bucket
-        rng = np.random.default_rng(42)
-        for assemble in (1, 0):
-            for trial in range(5):
-                data = _random_kernel_inputs(rng)
-                if assemble == 0:
-                    data["rhs"] = rng.standard_normal(data["rhs"].shape)
-                py = {k: np.copy(v) for k, v in data.items()}
-                sweep_bucket_kernel(
-                    py["bucket"], py["mass"], py["source"], py["cpl_pos"],
-                    py["cpl_src"], py["cpl_mat"], py["lu"], py["piv"],
-                    py["rhs"], assemble, py["psi"],
-                )
-                cc = {k: np.copy(v) for k, v in data.items()}
-                c_kernel(
-                    cc["bucket"], cc["mass"], cc["source"], cc["cpl_pos"],
-                    cc["cpl_src"], cc["cpl_mat"], cc["lu"], cc["piv"],
-                    cc["rhs"], assemble, cc["psi"],
-                )
-                np.testing.assert_array_equal(py["psi"], cc["psi"])
-                np.testing.assert_array_equal(py["rhs"], cc["rhs"])
+        rng = np.random.default_rng(42 + nodes)
+        for trial in range(3):
+            data = _random_kernel_inputs(rng, nodes)
+            py = {k: np.copy(v) for k, v in data.items()}
+            cc = {k: np.copy(v) for k, v in data.items()}
+            sweep_bucket_kernel(**py)
+            c_kernel(**cc)
+            np.testing.assert_array_equal(py["psi"], cc["psi"])
+            np.testing.assert_array_equal(py["rhs"], cc["rhs"])
+            assert not np.isnan(py["psi"]).any()
+            # Only the bucket's rows are written; ghost rows are read-only.
+            untouched = np.setdiff1d(np.arange(data["psi"].shape[0]), data["bucket"])
+            np.testing.assert_array_equal(py["psi"][untouched], data["psi"][untouched])
 
     @pytest.mark.skipif(not providers._cffi_available(), reason="cffi/cc missing")
     @pytest.mark.parametrize("nodes", (1, 8, 27, 64))
@@ -192,14 +198,15 @@ class TestProviders:
         np.testing.assert_array_equal(entry["piv"], piv)
         np.testing.assert_allclose(entry["lu"], lu, rtol=1e-12, atol=1e-14)
         interior = batched.interior_upwind_couplings(executor, direction, orient, bucket)
-        offsets = entry["cpl_offsets"]
-        assert offsets[0] == 0 and offsets[6] == entry["cpl_pos"].shape[0] > 0
-        for face in range(6):
-            packed = slice(offsets[face], offsets[face + 1])
-            idx, neighbors, coupling = interior.get(face, ([], [], np.empty((0,) + lu.shape[1:])))
+        assert "cpl_offsets" not in entry
+        lo = 0
+        for face in sorted(interior):
+            idx, neighbors, coupling = interior[face]
+            packed = slice(lo, lo := lo + idx.shape[0])
             np.testing.assert_array_equal(entry["cpl_pos"][packed], idx)
             np.testing.assert_array_equal(entry["cpl_src"][packed], neighbors)
             np.testing.assert_allclose(entry["cpl_mat"][packed], coupling, rtol=1e-13, atol=1e-16)
+        assert lo == entry["cpl_pos"].shape[0] > 0
 
     def test_cffi_module_cache_is_reused(self):
         if providers.select_provider().name != "cffi":
@@ -313,6 +320,113 @@ class TestCompiledColdBuild:
                 buffers[id(array)] = array
         assert cache.total_bytes == sum(array.nbytes for array in buffers.values())
         assert cache.total_bytes > 0
+
+
+#: ``SMALL`` on the parent of the ghost-row change (cffi provider): sha256 of
+#: the scalar flux, and the factor cache's ``total_bytes`` over 112 entries
+#: that each still held a 7-int64 ``cpl_offsets``.
+PARENT_VACUUM_DIGEST = "d7033eea42d62033ff3e0556982758d220c51eb5b011e39333e2a3224bc4dd9b"
+PARENT_VACUUM_CACHE_BYTES = 1_236_608
+
+
+def _raise_numpy_assembly(*args, **kwargs):
+    raise AssertionError("the compiled engine reached the numpy RHS assembly")
+
+
+class TestGhostRows:
+    """Boundary inflow rides the interior path: ghost rows behind ``psi[:E]``."""
+
+    def test_boundary_inflow_never_reaches_the_numpy_assembly(self, monkeypatch):
+        """Incident, lagged and reflective sweeps stay in the kernels."""
+        monkeypatch.setattr(batched, "assemble_bucket_rhs", _raise_numpy_assembly)
+        with pytest.raises(AssertionError, match="numpy RHS assembly"):
+            repro.run(SMALL.with_(engine="prefactorized"))
+        EngineContract("compiled").check_boundary_inflow()
+
+    def test_vacuum_executor_packs_interior_couplings_only(self):
+        """No ghost coupling, no ghost row, ``cpl_offsets`` gone -- and the
+        flux of the parent commit, bit for bit."""
+        solver = TransportSolver(SMALL)
+        flux = solver.solve().scalar_flux
+        executor = solver.executor
+        assert not executor.sees_boundary_inflow
+        cache = executor.factor_cache
+        for _name, angle, index in cache:
+            asched = executor.schedule.for_angle(angle)
+            bucket = asched.buckets[index]
+            interior_inflow = (asched.classification.orientation[bucket] == -1) & (
+                executor.mesh.face_neighbors[bucket] != BOUNDARY
+            )
+            entry = cache[("compiled", angle, index)]
+            assert entry["cpl_pos"].shape[0] == np.count_nonzero(interior_inflow)
+            assert (entry["cpl_src"] < executor.mesh.num_cells).all()
+        assert cache.total_bytes == PARENT_VACUUM_CACHE_BYTES - 56 * len(cache)
+        digest = hashlib.sha256(np.ascontiguousarray(flux).tobytes()).hexdigest()
+        assert digest == PARENT_VACUUM_DIGEST
+
+    def test_ghost_couplings_cover_every_boundary_inflow_face(self):
+        executor = TransportSolver(
+            SMALL.with_(boundary=BoundaryCondition(kind="reflective"))
+        ).executor
+        assert executor.sees_boundary_inflow
+        num_cells = executor.mesh.num_cells
+        table = executor.boundary_table()
+        engine = get_engine("compiled")
+        for angle in range(executor.quadrature.num_angles):
+            asched = executor.schedule.for_angle(angle)
+            ghosts = []
+            for bucket in asched.buckets:
+                orient = asched.classification.orientation[bucket]
+                entry, _ = engine.build_entry(
+                    executor, executor.quadrature.directions[angle], orient, bucket
+                )
+                assert entry["cpl_pos"].shape[0] == np.count_nonzero(orient == -1)
+                sources = entry["cpl_src"]
+                ghosts.extend((sources[sources >= num_cells] - num_cells).tolist())
+            assert sorted(ghosts) == table.inflow[angle][0].tolist()
+
+    def test_untouched_lagged_entries_persist_and_absent_ones_fall_back(self):
+        """Lagged traces present on some inflow faces of a bucket and absent
+        on others: the present ones are read on *every* sweep until replaced,
+        the absent ones read ``incident``."""
+        spec = SMALL.with_(
+            boundary=BoundaryCondition(kind="incident", incident_flux=0.5), npex=2, npey=1
+        )
+        results = {}
+        for engine in ("compiled", "reference"):
+            executor = BlockJacobiDriver(spec.with_(engine=engine)).executors[0]
+            table = executor.boundary_table()
+            # The first angle flowing in through the rank interface.
+            halo_inflow = next(
+                on_halo
+                for slots, keys in table.inflow
+                if len(on_halo := [k for s, k in zip(slots, keys) if table.halo[s]]) >= 2
+            )
+            rng = np.random.default_rng(3)
+            shape = (executor.mesh.num_cells, executor.num_groups, executor.num_nodes)
+            source = 1.0 + rng.random(shape)
+            lagged = BoundaryValues()
+            lagged.put(*halo_inflow[0], 2.0 + rng.random(shape[1:]))  # the rest: absent
+            first = executor.sweep(source, lagged).scalar_flux
+            again = executor.sweep(source, lagged).scalar_flux  # entry untouched
+            np.testing.assert_array_equal(first, again)
+            absent = executor.sweep(source, BoundaryValues()).scalar_flux  # incident only
+            assert np.max(np.abs(first - absent)) > 1e-3
+            results[engine] = (first, absent)
+        for got, want in zip(*results.values()):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_lagged_values_without_halo_faces_are_refused(self):
+        """Lagged traces belong to declared ``halo_faces``; a vacuum executor
+        built with none has no ghost rows to put them in and says so."""
+        executor = TransportSolver(SMALL).executor
+        source = np.ones((executor.mesh.num_cells, executor.num_groups, executor.num_nodes))
+        cell, face = executor.mesh.boundary_faces()[0]
+        lagged = BoundaryValues()
+        lagged.put(int(cell), int(face), 0, np.ones((executor.num_groups, executor.num_nodes)))
+        with pytest.raises(ValueError, match="halo_faces"):
+            executor.sweep(source, lagged)
+        executor.sweep(source, BoundaryValues())  # empty: nothing to refuse
 
 
 class TestCompiledEngineBehaviour:

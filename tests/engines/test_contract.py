@@ -29,6 +29,9 @@ class TestEngineContract:
     def test_reference_agreement(self, contract):
         contract.check_reference_agreement()
 
+    def test_boundary_inflow(self, contract):
+        contract.check_boundary_inflow()
+
     def test_update_materials_invalidates(self, contract):
         contract.check_update_materials_invalidates()
 
