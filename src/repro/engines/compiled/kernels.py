@@ -1,69 +1,34 @@
-"""The compiled tier's kernels, in portable (njit-compatible) Python.
+"""The compiled tier's kernels, in portable Python: the single source of truth.
 
-This module is the *single source of truth* for the compiled engine's
-numerics -- the cold entry build as well as the steady sweep:
-
-``build_bucket_kernel``
-    assembles the bucket's local systems (``-Omega.G`` plus the outflow
-    own-face terms plus ``sigma_t * M``) straight into the ``(B*G, N, N)``
-    array the factorisation then overwrites, and the direction-weighted
-    couplings ``Omega . face_neighbor`` of the inflow faces with an upwind
-    row straight into the packed ``cpl_pos``/``cpl_src``/``cpl_mat`` arrays;
-``lu_factor_kernel``
-    LU-factorises those systems in place with partial pivoting;
-``sweep_bucket_kernel``
-    one fused per-bucket pass that assembles the right-hand sides
-    (volumetric source term minus the packed upwind couplings) and
-    runs the pivoted forward/backward substitutions against the packed
-    factors, writing the bucket's angular flux straight into ``psi``.
-
-The providers (:mod:`repro.engines.compiled.providers`) turn these
-functions into machine code two different ways -- ``numba.njit`` compiles
-them directly, and the cffi provider carries a line-for-line C translation
-whose loop nests mirror these functions exactly (same loop order, same
-accumulation order, compiled with ``-ffp-contract=off`` so the arithmetic
-stays plain IEEE double operations in source order).  Keeping the Python
-version the reference lets the test-suite assert provider equivalence
-without a second independent implementation of the physics.
-
-Only explicit loops over preallocated contiguous arrays are used -- no numpy
-API beyond indexing -- so the same bodies type-specialise cleanly under
-numba and translate mechanically to C.
+``numba.njit`` compiles these bodies as they are, and :mod:`.cgen` emits the
+cffi provider's C from them, statement for statement -- so they keep to the
+subset both accept (explicit loops over preallocated C-contiguous arrays,
+scalar locals, no numpy API beyond indexing; see :mod:`.cgen`), and the
+tests hold every provider to them bit for bit.  Every argument's dtype and
+shape is in :data:`ARGUMENTS`: ``B`` bucket elements, ``G`` groups, ``N``
+nodes per element, ``E`` mesh elements, ``K`` packed couplings, ``S = B*G``
+systems, ``R`` rows of the angle's ``psi``.
 
 Build contract
 --------------
-``build_bucket_kernel(bucket, orient, upwind, direction, gradient, face_own,
-face_neighbor, mass, sigma_t, lu, cpl_pos, cpl_src, cpl_mat)`` with
-
-* ``bucket`` -- ``(B,)`` int64 global element ids of the wavefront bucket;
-* ``orient`` -- ``(B, 6)`` int64 face orientation of the bucket elements for
-  this direction (+1 outflow, -1 inflow, 0 tangential);
-* ``upwind`` -- ``(B, 6)`` int64 row of ``psi`` holding the upwind nodal
-  vector across each inflow face -- the interior neighbour's element id, or
-  ``E + slot`` for the ghost row of a boundary face -- negative everywhere
-  else (outflow and tangential faces, and boundary inflow faces of an
-  executor that sees no boundary inflow);
-* ``direction`` -- ``(3,)`` ordinate direction ``Omega``;
-* ``gradient``/``mass``/``sigma_t`` -- ``(B, 3, N, N)`` gradient matrices,
-  ``(B, N, N)`` mass matrices and ``(B, G)`` total cross sections *of the
-  bucket elements*;
-* ``face_own``/``face_neighbor`` -- the full ``(E, 6, 3, N, N)`` face
-  coupling matrices (indexed through ``bucket``: only the outflow
-  respectively coupled inflow faces are ever read);
-* ``lu`` -- ``(B*G, N, N)`` output, system ``b*G + g`` belonging to element
-  ``b``, group ``g``;
-* ``cpl_pos``/``cpl_src``/``cpl_mat`` -- ``(K,)``, ``(K,)`` and
-  ``(K, N, N)`` outputs, ``K`` the number of non-negative ``upwind``
-  entries: bucket position, upwind ``psi`` row and coupling matrix of every
-  coupled inflow face, packed face-major (all of face 0 in bucket order,
-  then face 1, ...).  A ghost row is coupled exactly like a neighbour: an
-  upwind nodal vector times ``Omega . face_neighbor``.
+``build_bucket_kernel`` assembles the bucket's local systems (``-Omega.G``
+plus the outflow own-face terms plus ``sigma_t * M``) into ``lu``, system
+``b*G + g`` belonging to element ``b``, group ``g``, and packs the coupling
+``Omega . face_neighbor`` of every coupled inflow face into ``cpl_pos`` /
+``cpl_src`` / ``cpl_mat`` (bucket position, upwind ``psi`` row, matrix),
+face-major: all of face 0 in bucket order, then face 1, ...  ``orient`` is
++1 outflow, -1 inflow, 0 tangential for this ``direction``; ``upwind`` is
+the row of ``psi`` holding each inflow face's upwind nodal vector -- the
+interior neighbour's element id, or ``E + slot`` for the ghost row of a
+boundary face, which is coupled exactly like a neighbour -- and negative
+everywhere else, so ``K`` counts its non-negative entries.  ``gradient``,
+``mass`` and ``sigma_t`` hold the bucket elements' rows; ``face_own`` and
+``face_neighbor`` are the whole mesh's, indexed through ``bucket``.
 
 ``lu_factor_kernel(lu, piv)`` factorises in place: on return ``lu`` holds
-the packed factors (unit lower triangle below the diagonal) and the
-``(B*G, N)`` int64 ``piv`` the row swaps in LAPACK ``getrf`` convention.
-Pivot choice (first maximum of the column, the tie rule of ``np.argmax``)
-and arithmetic are those of
+the packed factors (unit lower triangle below the diagonal) and ``piv`` the
+row swaps in LAPACK ``getrf`` convention.  Pivot choice (first maximum of
+the column, the tie rule of ``np.argmax``) and arithmetic are those of
 :func:`repro.solvers.prefactor.batched_gaussian_lu_factor`, whose ``lu`` and
 ``piv`` it reproduces bit for bit.  Returns 0, or 1 as soon as a system
 turns out singular (a zero pivot column); ``lu`` is then half-factorised
@@ -71,24 +36,43 @@ garbage.
 
 Sweep contract
 --------------
-``sweep_bucket_kernel(bucket, mass, source, cpl_pos, cpl_src, cpl_mat, lu,
-piv, rhs, psi)`` with ``bucket``, ``mass``, ``cpl_*``, ``lu`` and ``piv`` as
-above and
-
-* ``source`` -- ``(E, G, N)`` full per-ordinate total source (indexed
-  through ``bucket``);
-* ``rhs`` -- ``(B, G, N)`` scratch only: the kernel assembles the right-hand
-  sides into it and substitutes in place; nothing is read from it;
-* ``psi`` -- ``(E + F_b, G, N)`` angular flux: rows ``< E`` are the
-  elements (upwind values are read from earlier buckets and the bucket's
-  solution is written back), rows ``>= E`` the read-only ghost rows, one
-  per boundary face, holding the boundary inflow the engine filled in
-  before the angle's first bucket (``F_b`` is 0 when nothing points there).
+``sweep_bucket_kernel`` assembles the bucket's right-hand sides (the
+per-ordinate total ``source``, indexed through ``bucket``, times ``mass``,
+minus the packed upwind couplings) into the scratch ``rhs`` -- nothing is
+read from it -- runs the pivoted forward/backward substitutions against
+``lu``/``piv`` in place and writes the solution to the bucket's rows of
+``psi``.  Rows ``< E`` of ``psi`` are the elements (upwind values are read
+from earlier buckets); rows ``>= E`` are the read-only ghost rows, one per
+boundary face, holding the boundary inflow the engine filled in before the
+angle's first bucket.
 """
 
 from __future__ import annotations
 
-__all__ = ["build_bucket_kernel", "lu_factor_kernel", "sweep_bucket_kernel"]
+__all__ = ["ARGUMENTS", "build_bucket_kernel", "lu_factor_kernel", "sweep_bucket_kernel"]
+
+#: dtype and shape of every kernel argument, by name: a letter is a size
+#: shared by every argument that names it in one call, a digit a fixed size.
+#: numba ignores this table; cgen types the C by it.
+ARGUMENTS = {
+    "bucket": "i64[B]",
+    "orient": "i64[B, 6]",
+    "upwind": "i64[B, 6]",
+    "direction": "f64[3]",
+    "gradient": "f64[B, 3, N, N]",
+    "face_own": "f64[E, 6, 3, N, N]",
+    "face_neighbor": "f64[E, 6, 3, N, N]",
+    "mass": "f64[B, N, N]",
+    "sigma_t": "f64[B, G]",
+    "source": "f64[E, G, N]",
+    "cpl_pos": "i64[K]",
+    "cpl_src": "i64[K]",
+    "cpl_mat": "f64[K, N, N]",
+    "lu": "f64[S, N, N]",
+    "piv": "i64[S, N]",
+    "rhs": "f64[B, G, N]",
+    "psi": "f64[R, G, N]",
+}
 
 
 def build_bucket_kernel(

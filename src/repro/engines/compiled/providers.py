@@ -6,10 +6,11 @@ order of preference,
 1. **numba** -- :func:`numba.njit` over the portable kernels of
    :mod:`repro.engines.compiled.kernels` (``fastmath`` off, so the compiled
    arithmetic keeps the kernels' IEEE semantics);
-2. **cffi + a C compiler** -- a line-for-line C translation of the same
-   kernels, all in one module built once into an on-disk cache (keyed by a
-   hash of the C source, so upgrades rebuild and concurrent processes
-   share) and loaded thereafter with no compile cost.
+2. **cffi + a C compiler** -- the same kernels as C emitted from their
+   Python bodies by :mod:`repro.engines.compiled.cgen`, all in one module
+   built once into an on-disk cache (keyed by a hash of the emitted C, so
+   upgrades rebuild and concurrent processes share) and loaded thereafter
+   with no compile cost.
 
 When neither is available the engine simply is not registered --
 ``available_engines()`` never lists a broken tier -- and
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernels import build_bucket_kernel, lu_factor_kernel, sweep_bucket_kernel
+from .kernels import ARGUMENTS, build_bucket_kernel, lu_factor_kernel, sweep_bucket_kernel
 
 __all__ = ["Kernels", "Provider", "select_provider", "unavailable_reason", "INSTALL_HINT"]
 
@@ -98,202 +99,6 @@ def _build_numba_kernels() -> Kernels:  # pragma: no cover - needs numba (CI num
 
 
 # ---------------------------------------------------------------------- cffi
-# Line-for-line C translations of the three kernels of kernels.py: same
-# loop nests, same accumulation order.  Compiled with -ffp-contract=off so
-# the optimiser cannot fuse multiply-adds -- the C arithmetic is then the
-# same sequence of IEEE double operations as the Python kernels.  (Where a
-# Python ``for i: for j:`` pair walks one contiguous N x N block, the C
-# loop runs the flattened index -- the same elements in the same order.)
-# One module: one source digest, one compile, one dlopen.
-_C_DECL = """
-void build_bucket(const int64_t *bucket, const int64_t *orient,
-                  const int64_t *upwind, const double *direction,
-                  const double *gradient, const double *face_own,
-                  const double *face_neighbor, const double *mass,
-                  const double *sigma_t, double *lu, int64_t *cpl_pos,
-                  int64_t *cpl_src, double *cpl_mat, int64_t num_bucket,
-                  int64_t num_groups, int64_t num_nodes);
-int lu_factor(double *lu, int64_t *piv, int64_t num_systems,
-              int64_t num_nodes);
-void sweep_bucket(const int64_t *bucket, const double *mass,
-                  const double *source, int64_t num_cpl,
-                  const int64_t *cpl_pos, const int64_t *cpl_src,
-                  const double *cpl_mat, const double *lu,
-                  const int64_t *piv, double *rhs, double *psi,
-                  int64_t num_bucket, int64_t num_groups,
-                  int64_t num_nodes);
-"""
-
-_C_SOURCE = """
-#include <math.h>
-#include <stdint.h>
-
-void build_bucket(const int64_t *bucket, const int64_t *orient,
-                  const int64_t *upwind, const double *direction,
-                  const double *gradient, const double *face_own,
-                  const double *face_neighbor, const double *mass,
-                  const double *sigma_t, double *lu, int64_t *cpl_pos,
-                  int64_t *cpl_src, double *cpl_mat, int64_t num_bucket,
-                  int64_t num_groups, int64_t num_nodes)
-{
-    const int64_t G = num_groups, N = num_nodes, NN = N * N;
-    const double o0 = direction[0], o1 = direction[1], o2 = direction[2];
-
-    for (int64_t b = 0; b < num_bucket; ++b) {
-        const int64_t element = bucket[b];
-        const double *grad = gradient + b * 3 * NN;
-        const double *m = mass + b * NN;
-        double *base = lu + b * G * NN;
-        for (int64_t ij = 0; ij < NN; ++ij)
-            base[ij] = -(o0 * grad[ij] + o1 * grad[NN + ij]
-                         + o2 * grad[2 * NN + ij]);
-        for (int64_t face = 0; face < 6; ++face) {
-            if (orient[b * 6 + face] == 1) {
-                const double *f = face_own + (element * 6 + face) * 3 * NN;
-                for (int64_t ij = 0; ij < NN; ++ij)
-                    base[ij] += o0 * f[ij] + o1 * f[NN + ij]
-                                + o2 * f[2 * NN + ij];
-            }
-        }
-        for (int64_t g = G - 1; g >= 0; --g) {
-            const double sigma = sigma_t[b * G + g];
-            double *a = base + g * NN;
-            for (int64_t ij = 0; ij < NN; ++ij)
-                a[ij] = base[ij] + sigma * m[ij];
-        }
-    }
-
-    int64_t k = 0;
-    for (int64_t face = 0; face < 6; ++face) {
-        for (int64_t b = 0; b < num_bucket; ++b) {
-            if (upwind[b * 6 + face] >= 0) {
-                const double *f = face_neighbor
-                                  + (bucket[b] * 6 + face) * 3 * NN;
-                double *c = cpl_mat + k * NN;
-                cpl_pos[k] = b;
-                cpl_src[k] = upwind[b * 6 + face];
-                for (int64_t ij = 0; ij < NN; ++ij)
-                    c[ij] = o0 * f[ij] + o1 * f[NN + ij]
-                            + o2 * f[2 * NN + ij];
-                ++k;
-            }
-        }
-    }
-}
-
-int lu_factor(double *lu, int64_t *piv, int64_t num_systems,
-              int64_t num_nodes)
-{
-    const int64_t N = num_nodes;
-
-    for (int64_t s = 0; s < num_systems; ++s) {
-        double *a = lu + s * N * N;
-        int64_t *pv = piv + s * N;
-        for (int64_t k = 0; k < N; ++k) {
-            int64_t p = k;
-            double best = fabs(a[k * N + k]);
-            for (int64_t i = k + 1; i < N; ++i) {
-                const double value = fabs(a[i * N + k]);
-                if (value > best) {
-                    best = value;
-                    p = i;
-                }
-            }
-            pv[k] = p;
-            if (best == 0.0)
-                return 1;
-            if (p != k) {
-                for (int64_t j = 0; j < N; ++j) {
-                    const double tmp = a[k * N + j];
-                    a[k * N + j] = a[p * N + j];
-                    a[p * N + j] = tmp;
-                }
-            }
-            const double pivot = a[k * N + k];
-            const double *rk = a + k * N;
-            for (int64_t i = k + 1; i < N; ++i) {
-                double *ri = a + i * N;
-                const double factor = ri[k] / pivot;
-                for (int64_t j = k + 1; j < N; ++j)
-                    ri[j] -= factor * rk[j];
-                ri[k] = factor;
-            }
-        }
-    }
-    return 0;
-}
-
-void sweep_bucket(const int64_t *bucket, const double *mass,
-                  const double *source, int64_t num_cpl,
-                  const int64_t *cpl_pos, const int64_t *cpl_src,
-                  const double *cpl_mat, const double *lu,
-                  const int64_t *piv, double *rhs, double *psi,
-                  int64_t num_bucket, int64_t num_groups,
-                  int64_t num_nodes)
-{
-    const int64_t G = num_groups, N = num_nodes, NN = N * N;
-
-    for (int64_t b = 0; b < num_bucket; ++b) {
-        const double *m = mass + b * NN;
-        const double *src = source + bucket[b] * G * N;
-        double *out = rhs + b * G * N;
-        for (int64_t g = 0; g < G; ++g) {
-            for (int64_t i = 0; i < N; ++i) {
-                double acc = 0.0;
-                for (int64_t j = 0; j < N; ++j)
-                    acc += src[g * N + j] * m[i * N + j];
-                out[g * N + i] = acc;
-            }
-        }
-    }
-    for (int64_t k = 0; k < num_cpl; ++k) {
-        const double *c = cpl_mat + k * NN;
-        const double *up = psi + cpl_src[k] * G * N;
-        double *out = rhs + cpl_pos[k] * G * N;
-        for (int64_t g = 0; g < G; ++g) {
-            for (int64_t i = 0; i < N; ++i) {
-                double acc = 0.0;
-                for (int64_t j = 0; j < N; ++j)
-                    acc += up[g * N + j] * c[i * N + j];
-                out[g * N + i] -= acc;
-            }
-        }
-    }
-
-    for (int64_t b = 0; b < num_bucket; ++b) {
-        double *out = psi + bucket[b] * G * N;
-        for (int64_t g = 0; g < G; ++g) {
-            const int64_t s = b * G + g;
-            const double *f = lu + s * NN;
-            const int64_t *pv = piv + s * N;
-            double *x = rhs + (b * G + g) * N;
-            for (int64_t k = 0; k < N; ++k) {
-                const int64_t p = pv[k];
-                if (p != k) {
-                    const double tmp = x[k];
-                    x[k] = x[p];
-                    x[p] = tmp;
-                }
-            }
-            for (int64_t k = 0; k < N - 1; ++k) {
-                const double bk = x[k];
-                for (int64_t j = k + 1; j < N; ++j)
-                    x[j] -= f[j * N + k] * bk;
-            }
-            for (int64_t k = N - 1; k >= 0; --k) {
-                double acc = x[k];
-                for (int64_t j = k + 1; j < N; ++j)
-                    acc -= f[k * N + j] * x[j];
-                x[k] = acc / f[k * N + k];
-            }
-            for (int64_t i = 0; i < N; ++i)
-                out[g * N + i] = x[i];
-        }
-    }
-}
-"""
-
-
 def _cffi_available() -> bool:
     try:
         import cffi  # noqa: F401
@@ -302,23 +107,40 @@ def _cffi_available() -> bool:
     return any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
 
 
-def _compile_cffi_module():
-    """Build (or load from the on-disk cache) the cffi kernel module.
+def _emit_c():
+    """The three kernels as one C module: :class:`cgen.Module` (cdef, source, wrappers)."""
+    from .cgen import emit_module
 
-    The cache directory is keyed by a hash of the C source, so a changed
-    kernel compiles into a fresh directory and stale modules are never
-    loaded; the module name carries the same hash so two versions can
-    coexist in one process.  Publication is atomic (build in a scratch
-    directory, ``os.replace`` into place), making concurrent first calls
-    from several processes safe.
+    return emit_module(_PORTABLE, ARGUMENTS)
+
+
+def _cffi_artefact(emitted) -> tuple[str, Path]:
+    """Module name and on-disk path of this interpreter's build of ``emitted``.
+
+    Directory and module name carry a hash of the emitted C, so a changed
+    kernel compiles afresh and two versions can coexist in one process; the
+    file name carries this interpreter's own extension suffix, so another
+    interpreter sharing the temp directory publishes beside it, never over it.
+    """
+    import importlib.machinery
+
+    digest = hashlib.sha256((emitted.cdef + emitted.source).encode()).hexdigest()[:16]
+    module_name = f"_unsnap_compiled_{digest}"
+    cache_dir = Path(tempfile.gettempdir()) / f"unsnap-compiled-{digest}"
+    return module_name, cache_dir / (module_name + importlib.machinery.EXTENSION_SUFFIXES[0])
+
+
+def _compile_cffi_module(emitted):
+    """Build (or load from the on-disk cache) the cffi module of ``emitted``.
+
+    Publication is atomic (build in a scratch directory, ``os.replace`` into
+    place), making concurrent first calls from several processes safe.
     """
     import importlib.util
 
     import cffi
 
-    digest = hashlib.sha256((_C_DECL + _C_SOURCE).encode()).hexdigest()[:16]
-    module_name = f"_unsnap_compiled_{digest}"
-    cache_dir = Path(tempfile.gettempdir()) / f"unsnap-compiled-{digest}"
+    module_name, target = _cffi_artefact(emitted)
 
     def _load(so_path: Path):
         spec = importlib.util.spec_from_file_location(module_name, so_path)
@@ -326,21 +148,19 @@ def _compile_cffi_module():
         spec.loader.exec_module(module)
         return module
 
-    if cache_dir.is_dir():
-        for so_path in sorted(cache_dir.glob(f"{module_name}*.so")):
-            return _load(so_path)
+    if target.is_file():
+        return _load(target)
 
     ffibuilder = cffi.FFI()
-    ffibuilder.cdef(_C_DECL)
+    ffibuilder.cdef(emitted.cdef)
     ffibuilder.set_source(
         module_name,
-        _C_SOURCE,
+        emitted.source,
         extra_compile_args=["-O3", "-ffp-contract=off"],
     )
     with tempfile.TemporaryDirectory(prefix="unsnap-compiled-build-") as build_dir:
         so_path = Path(ffibuilder.compile(tmpdir=build_dir))
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        target = cache_dir / so_path.name
+        target.parent.mkdir(parents=True, exist_ok=True)
         try:
             os.replace(so_path, target)
         except OSError:
@@ -352,61 +172,12 @@ def _compile_cffi_module():
 
 
 def _build_cffi_kernels() -> Kernels:
-    module = _compile_cffi_module()
-    ffi, lib = module.ffi, module.lib
-    f64 = "double *"
-    i64 = "int64_t *"
-
-    def build_bucket(
-        bucket, orient, upwind, direction, gradient, face_own, face_neighbor,
-        mass, sigma_t, lu, cpl_pos, cpl_src, cpl_mat,
-    ):
-        lib.build_bucket(
-            ffi.from_buffer(i64, bucket),
-            ffi.from_buffer(i64, orient),
-            ffi.from_buffer(i64, upwind),
-            ffi.from_buffer(f64, direction),
-            ffi.from_buffer(f64, gradient),
-            ffi.from_buffer(f64, face_own),
-            ffi.from_buffer(f64, face_neighbor),
-            ffi.from_buffer(f64, mass),
-            ffi.from_buffer(f64, sigma_t),
-            ffi.from_buffer(f64, lu, require_writable=True),
-            ffi.from_buffer(i64, cpl_pos, require_writable=True),
-            ffi.from_buffer(i64, cpl_src, require_writable=True),
-            ffi.from_buffer(f64, cpl_mat, require_writable=True),
-            bucket.shape[0],
-            sigma_t.shape[1],
-            mass.shape[1],
-        )
-
-    def lu_factor(lu, piv):
-        return lib.lu_factor(
-            ffi.from_buffer(f64, lu, require_writable=True),
-            ffi.from_buffer(i64, piv, require_writable=True),
-            lu.shape[0],
-            lu.shape[1],
-        )
-
-    def sweep_bucket(bucket, mass, source, cpl_pos, cpl_src, cpl_mat, lu, piv, rhs, psi):
-        lib.sweep_bucket(
-            ffi.from_buffer(i64, bucket),
-            ffi.from_buffer(f64, mass),
-            ffi.from_buffer(f64, source),
-            cpl_pos.shape[0],
-            ffi.from_buffer(i64, cpl_pos),
-            ffi.from_buffer(i64, cpl_src),
-            ffi.from_buffer(f64, cpl_mat),
-            ffi.from_buffer(f64, lu),
-            ffi.from_buffer(i64, piv),
-            ffi.from_buffer(f64, rhs, require_writable=True),
-            ffi.from_buffer(f64, psi, require_writable=True),
-            bucket.shape[0],
-            rhs.shape[1],
-            rhs.shape[2],
-        )
-
-    return Kernels(build_bucket, lu_factor, sweep_bucket)
+    emitted = _emit_c()
+    module = _compile_cffi_module(emitted)
+    # The wrappers are emitted Python source reading ``ffi`` and ``lib`` as globals.
+    namespace = {"ffi": module.ffi, "lib": module.lib}
+    exec(emitted.wrappers, namespace)
+    return Kernels(*(namespace[kernel.__name__] for kernel in _PORTABLE))
 
 
 # ----------------------------------------------------------------- selection

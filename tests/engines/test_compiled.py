@@ -1,15 +1,16 @@
 """The compiled engine tier: providers, kernel equivalence, budget races.
 
 The portable Python kernels (:mod:`repro.engines.compiled.kernels`) are the
-single source of truth; the cffi provider's C translations must reproduce
-them *bit for bit* (same loop nests, ``-ffp-contract=off``), and the LU
-kernel must reproduce the numpy ``batched_gaussian_lu_factor`` bit for bit
--- both asserted here on randomised data.  The remaining tests cover the
-provider selection override, the cold entry build (compiled, singular
-systems, each coupling matrix held once), the ghost rows that carry boundary
-inflow through the same kernels, and the interaction between a
-factor-cache budget (spills mid-run) and ``update_materials`` (invalidation
-mid-run) -- the two must compose without ever reusing a stale factor.
+single source of truth; the C the cffi provider emits from them
+(:mod:`repro.engines.compiled.cgen`) must reproduce them *bit for bit* (same
+statements, ``-ffp-contract=off``), and the LU kernel must reproduce the
+numpy ``batched_gaussian_lu_factor`` bit for bit -- both asserted here on
+randomised data.  The remaining tests cover the provider selection override,
+the cold entry build (compiled, singular systems, each coupling matrix held
+once), the ghost rows that carry boundary inflow through the same kernels,
+and the interaction between a factor-cache budget (spills mid-run) and
+``update_materials`` (invalidation mid-run) -- the two must compose without
+ever reusing a stale factor.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ class TestProviders:
     @pytest.mark.skipif(not providers._cffi_available(), reason="cffi/cc missing")
     @pytest.mark.parametrize("nodes", (1, 8, 27, 64))
     def test_cffi_kernel_matches_python_kernel_bit_for_bit(self, nodes):
-        """The C translation is line-for-line: identical IEEE arithmetic,
-        ghost rows (``cpl_src >= E``) included."""
+        """The emitted C is the Python statement for statement: identical IEEE
+        arithmetic, ghost rows (``cpl_src >= E``) included."""
         c_kernel = providers._build_cffi_kernels().sweep_bucket
         rng = np.random.default_rng(42 + nodes)
         for trial in range(3):
@@ -161,7 +162,7 @@ class TestProviders:
     @pytest.mark.skipif(not providers._cffi_available(), reason="cffi/cc missing")
     @pytest.mark.parametrize("nodes", (1, 8, 27, 64))
     def test_cffi_build_and_lu_match_python_kernels_bit_for_bit(self, nodes):
-        """The cold path's C translations: assembly, couplings, LU and pivots."""
+        """The cold path's emitted C: assembly, couplings, LU and pivots."""
         c_kernels = providers._build_cffi_kernels()
         rng = np.random.default_rng(nodes)
         data = _random_build_inputs(rng, nodes)
@@ -212,8 +213,9 @@ class TestProviders:
         if providers.select_provider().name != "cffi":
             pytest.skip("resolved provider is not cffi")
         # Loading twice must come from the on-disk cache: same module file.
-        first = providers._compile_cffi_module()
-        second = providers._compile_cffi_module()
+        emitted = providers._emit_c()
+        first = providers._compile_cffi_module(emitted)
+        second = providers._compile_cffi_module(emitted)
         assert first.__file__ == second.__file__
 
 

@@ -6,6 +6,9 @@ engine must work untouched, and asking for it by name must fail with an
 actionable error naming the missing dependency -- not an obscure import
 crash at sweep time.
 
+The same holds for a broken *cache*: another interpreter's build of the cffi
+module, sharing the temp directory, is never loaded in place of this one's.
+
 Provider selection is memoised per process, so the absent-path tests run in
 a fresh interpreter with ``UNSNAP_COMPILED_PROVIDER`` pinned; the in-process
 tests only exercise pure selection logic via the test-reset hook.
@@ -121,6 +124,38 @@ class TestForcedProviders:
             print("OK")
             """,
             provider="python",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "OK" in proc.stdout
+
+    @pytest.mark.skipif(not providers._cffi_available(), reason="cffi/cc missing")
+    def test_cffi_cache_loads_only_this_interpreters_build(self, tmp_path):
+        """A junk artefact with a foreign ABI suffix that sorts first in a
+        fresh temp directory: the compiled run must build and load its own."""
+        proc = _run_py(
+            f"""
+            import importlib.machinery
+            import tempfile
+
+            tempfile.tempdir = {str(tmp_path)!r}
+            import repro
+            from repro.config import ProblemSpec
+            from repro.engines.compiled import providers
+
+            emitted = providers._emit_c()
+            name, target = providers._cffi_artefact(emitted)
+            assert target.name == name + importlib.machinery.EXTENSION_SUFFIXES[0]
+            foreign = target.with_name(name + ".cpython-310-x86_64-linux-gnu.so")
+            assert foreign.name < target.name, "the junk must sort first"
+            target.parent.mkdir(parents=True)
+            foreign.write_bytes(b"not an extension module")
+            spec = ProblemSpec(nx=2, ny=2, nz=2, angles_per_octant=1, num_groups=1,
+                               num_inners=1, num_outers=1, engine="compiled")
+            assert repro.run(spec).scalar_flux.shape[0] == 8
+            assert providers._compile_cffi_module(emitted).__file__ == str(target)
+            print("OK")
+            """,
+            provider="cffi",
         )
         assert proc.returncode == 0, proc.stderr
         assert "OK" in proc.stdout

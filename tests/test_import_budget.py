@@ -54,6 +54,8 @@ def test_import_and_default_solves_leave_scipy_and_networkx_unloaded():
         import repro.cli  # the entry point serve/worker/campaign children import
 
         assert heavy() == [], heavy()
+        # The C emitter runs on the first cffi build only, never at import.
+        assert "repro.engines.compiled.cgen" not in sys.modules
         from repro.engines import available_engines
 
         for engine in ("compiled", "prefactorized", "vectorized", "reference"):
