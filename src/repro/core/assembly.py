@@ -96,9 +96,11 @@ class ElementMatrices:
         phi = ref.phi_vol  # (nq, N)
         vol_w = factors.vol_weights  # (E, nq)
 
-        mass = np.einsum("eq,qi,qj->eij", vol_w, phi, phi, optimize=True)
-        gradient = np.einsum(
-            "eq,eqid,qj->edij", vol_w, factors.grad_phys, phi, optimize=True
+        # C-contiguous whatever layout einsum's contraction path leaves, so
+        # the compiled kernels read them whole instead of gathering copies.
+        mass = np.ascontiguousarray(np.einsum("eq,qi,qj->eij", vol_w, phi, phi, optimize=True))
+        gradient = np.ascontiguousarray(
+            np.einsum("eq,eqid,qj->edij", vol_w, factors.grad_phys, phi, optimize=True)
         )
         node_int_weights = np.einsum("eq,qi->ei", vol_w, phi)
 
@@ -216,15 +218,3 @@ class ElementMatrices:
             coupling = np.einsum("d,dij->ij", direction, self.face_neighbor[element, f])
             b -= trace @ coupling.T
         return a, b
-
-    def outgoing_partial_current(
-        self, element: int, face: int, direction: np.ndarray, psi: np.ndarray
-    ) -> np.ndarray:
-        """Face-integrated outgoing flow ``oint_f (Omega.n) psi dS`` per group.
-
-        Used for leakage accounting in the particle-balance diagnostics.
-        ``psi`` has shape ``(G, N)``.
-        """
-        coupling = np.einsum("d,dij->ij", direction, self.face_own[element, face])
-        # sum_i sum_j psi_j * F_ij  =  1^T F psi  (test function = 1 is in the space)
-        return psi @ coupling.sum(axis=0)

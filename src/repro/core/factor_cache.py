@@ -1,7 +1,8 @@
 """Budgeted engine-memoisation storage for :class:`~repro.core.sweep.SweepExecutor`.
 
-Caching engines (``prefactorized``, ``compiled``) memoise per-(angle, bucket)
-LU factors and coupling matrices on the executor's factor cache.  Unbounded,
+Caching engines (``prefactorized``, ``compiled``) memoise per-angle LU
+factors and coupling matrices on the executor's factor cache: one entry per
+angle, which is therefore also the unit a budget spills.  Unbounded,
 that cache costs ``E * A * G * N^2`` doubles over the whole quadrature --
 fine for bench problems, but a paper-scale 16^3 x 36-angle x 64-group run
 wants several GiB of factors.  :class:`FactorCache` is the dict-shaped store

@@ -70,7 +70,8 @@ class BoundaryValues:
 class BoundaryFaceTable:
     """Static per-executor index of the mesh's boundary faces.
 
-    Built from the mesh, the halo set and the schedule only (see
+    Built from the mesh, the halo set, the schedule, the quadrature, the
+    own-face matrices and the boundary condition only (see
     :meth:`SweepExecutor.boundary_table`), so it never changes over an
     executor's life.  Boundary face ``faces[s]`` owns *slot* ``s``: the
     per-angle epilogue walks the slots instead of rescanning the mesh, and
@@ -85,9 +86,13 @@ class BoundaryFaceTable:
         ``(E, 6)`` slot of every boundary face, ``-1`` on interior faces.
     halo:
         ``(F_b,)`` whether the face is a rank-interface (halo) face.
-    domain_faces:
-        The non-halo ``(cell, face)`` pairs in slot order -- the faces the
-        leakage tally runs over.
+    leakage:
+        Per angle, ``(cells, weights, inflow_at, inflow_coef)`` over the
+        non-halo faces, in slot order: the cells of the ``K`` outflow faces
+        and their ``(K, N)`` rows ``(Omega . face_own).sum(axis=0)``, whose
+        product with the cell's ``(G, N)`` flux is the face's outflow; then,
+        with a nonzero incident flux only, the inflow faces' positions among
+        those rows and their ``(Omega . face_own).sum()`` coefficients.
     inflow:
         Per angle, ``(slots, keys)``: the slots of the boundary faces with
         orientation -1 and their ``(cell, face, angle)`` keys into
@@ -100,7 +105,7 @@ class BoundaryFaceTable:
     faces: np.ndarray
     slot: np.ndarray
     halo: np.ndarray
-    domain_faces: list[tuple[int, int]]
+    leakage: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     inflow: list[tuple[np.ndarray, list[tuple[int, int, int]]]]
     halo_outflow: list[list[tuple[int, int, int]]]
 
@@ -363,7 +368,8 @@ class SweepExecutor:
     def boundary_table(self) -> BoundaryFaceTable:
         """The static :class:`BoundaryFaceTable`, built on first use.
 
-        A pure function of mesh, halo set and schedule: octant workers
+        A pure function of mesh, halo set, schedule, quadrature,
+        ``matrices.face_own`` and the boundary condition: octant workers
         racing on the first sweep build equal tables and either may win.
         """
         table = self._boundary_table
@@ -374,11 +380,29 @@ class SweepExecutor:
             slot[cells, local] = np.arange(faces.shape[0])
             pairs = list(zip(cells.tolist(), local.tolist()))
             halo = np.array([pair in self._halo_set for pair in pairs], dtype=bool)
+            incident = self.boundary.incoming_value() != 0.0
+            face_own = self.matrices.face_own
+
+            def omega_face_own(direction, chosen):
+                # Plain einsum: the contraction order of the per-face tally.
+                return np.einsum("d,kdij->kij", direction, face_own[cells[chosen], local[chosen]])
+
+            leakage = []
             inflow = []
             halo_outflow = []
             for angle in range(self.quadrature.num_angles):
                 orientation = self.schedule.for_angle(angle).classification.orientation
-                slots = np.nonzero(orientation[cells, local] == -1)[0]
+                on_boundary = orientation[cells, local]
+                direction = self.quadrature.directions[angle]
+                outflow = np.nonzero((on_boundary == 1) & ~halo)[0]
+                incoming = np.nonzero((on_boundary == -1) & ~halo & incident)[0]
+                leakage.append((
+                    cells[outflow],
+                    omega_face_own(direction, outflow).sum(axis=1),
+                    np.searchsorted(outflow, incoming),
+                    omega_face_own(direction, incoming).sum(axis=(1, 2)),
+                ))
+                slots = np.nonzero(on_boundary == -1)[0]
                 inflow.append((slots, [(*pairs[s], angle) for s in slots.tolist()]))
                 halo_outflow.append(
                     [(c, f, angle) for c, f in self._halo_set if orientation[c, f] == 1]
@@ -387,7 +411,7 @@ class SweepExecutor:
                 faces=faces,
                 slot=slot,
                 halo=halo,
-                domain_faces=[pair for pair, is_halo in zip(pairs, halo.tolist()) if not is_halo],
+                leakage=leakage,
                 inflow=inflow,
                 halo_outflow=halo_outflow,
             )
@@ -550,25 +574,22 @@ class SweepExecutor:
 
     # ------------------------------------------------------------ diagnostics
     def _boundary_leakage(self, angle: int, psi_angle: np.ndarray, incident: float) -> np.ndarray:
-        """Net outflow minus inflow through the domain boundary, per group."""
-        direction = self.quadrature.directions[angle]
-        orientation = self.schedule.for_angle(angle).classification.orientation
-        leak = np.zeros(self.num_groups, dtype=float)
-        # Rank-interface (halo) faces are not part of the domain boundary;
-        # their flow is handled by the halo exchange.
-        for element, face in self.boundary_table().domain_faces:
-            orient = orientation[element, face]
-            if orient == 1:
-                leak += self.matrices.outgoing_partial_current(
-                    element, face, direction, psi_angle[element]
-                )
-            elif orient == -1 and incident != 0.0:
-                coupling = np.einsum(
-                    "d,dij->ij", direction, self.matrices.face_own[element, face]
-                )
-                # Incident flux is constant over the face: psi = incident.
-                leak += incident * coupling.sum()
-        return leak
+        """Net outflow minus inflow through the domain boundary, per group.
+
+        One row per non-halo boundary face (rank-interface flow is the halo
+        exchange's), summed in slot order: the outflow faces' ``oint (Omega.n)
+        psi dS`` as one batched product with the table's weight rows, the
+        incident inflow (constant over the face: ``psi = incident``) spliced
+        in at its slot positions.
+        """
+        cells, weights, inflow_at, inflow_coef = self.boundary_table().leakage[angle]
+        rows = np.matmul(psi_angle[cells], weights[:, :, None])[:, :, 0]
+        if inflow_at.size:
+            rows = np.insert(rows, inflow_at, incident * inflow_coef[:, None], axis=0)
+        # A running sum from zero in slot order, as the per-face tally added
+        # its rows (an axis-0 sum turns pairwise when G == 1).
+        rows = np.concatenate([np.zeros((1, self.num_groups)), rows])
+        return np.add.accumulate(rows, axis=0)[-1]
 
     def _collect_halo(
         self,

@@ -14,21 +14,21 @@ Built-in engines
 
 The other three share one bucket loop
 (:class:`~repro.engines.batched.BatchedSweepEngine`) and differ only in its
-three hooks -- the angle's flux array, how a bucket's entry is built and how
-the bucket is solved:
+three hooks -- the angle's flux array, how the angle's entry is built and
+how its buckets are solved:
 
 ``vectorized``
     Batch-assembles and batch-solves all elements of a wavefront bucket at
     once, rebuilding everything each sweep (aliases: ``vec``, ``batched``).
 ``prefactorized``
-    LU-factorises every bucket batch once per (angle, bucket) and reuses
-    the cached factors across all inner/outer iterations, re-assembling
+    LU-factorises every bucket batch of an angle once and reuses the
+    cached factors across all inner/outer iterations, re-assembling
     only the right-hand sides (aliases: ``lu``, ``prefactor``,
     ``factor-cache``; paper Section IV-B.1).
 ``compiled``
     JIT kernels (numba, or a cffi-built C module) for both the cached
     entry build -- assembly, upwind couplings, pivoted LU -- and the fused
-    per-bucket sweep, boundary inflow included (aliases: ``jit``,
+    sweep, one kernel call per angle, boundary inflow included (aliases: ``jit``,
     ``native``).  A *soft* dependency:
     registered only when a JIT provider is available, so the name never
     appears broken -- see :mod:`repro.engines.compiled`.

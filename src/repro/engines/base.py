@@ -21,10 +21,11 @@ engine wants to memoise (LU factors, cached couplings, ...) must live on the
 *executor*, in :attr:`SweepExecutor.factor_cache` -- a
 :class:`~repro.core.factor_cache.FactorCache` (dict-shaped, optionally
 memory-budgeted with LRU spill) whose keys the engine namespaces with its
-own name.  Engines must treat every ``cache[key]`` miss as recomputable:
-under a ``factor_cache_budget_bytes`` limit the cache silently evicts
-least-recently-used entries, and correctness may never depend on an entry
-surviving.  The executor owns the lifecycle:
+own name (the built-in caching engines keep one entry per angle, keyed
+``(name, angle)``).  Engines must treat every ``cache[key]`` miss as
+recomputable: under a ``factor_cache_budget_bytes`` limit the cache silently
+evicts least-recently-used entries, and correctness may never depend on an
+entry surviving.  The executor owns the lifecycle:
 :meth:`SweepExecutor.invalidate_factor_cache` clears the cache whenever the
 cached inputs change (cross-section updates go through
 :meth:`SweepExecutor.update_materials`; mesh changes rebuild the executor),
@@ -47,7 +48,8 @@ on it (``compiled`` packs ghost-row couplings only then).  Traces on an
 executor built without halo faces are unsupported: ``compiled`` raises a
 ``ValueError`` naming ``halo_faces`` rather than dropping them silently.
 :meth:`SweepExecutor.boundary_table` is the static index of boundary faces
-(slots, halo mask, per-angle inflow keys) shared by engines and epilogue.
+(slots, halo mask, per-angle inflow keys and leakage rows) shared by engines
+and epilogue.
 """
 
 from __future__ import annotations

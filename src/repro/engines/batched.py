@@ -18,22 +18,27 @@ Table II -- and delegates exactly three steps:
     the zeroed per-angle array the buckets are solved into (``(E, G, N)``
     unless the engine appends rows of its own);
 ``build_entry``
-    the (angle, bucket) invariants -- everything that depends only on the
-    mesh geometry, the ordinate direction and the total cross sections, none
-    of which change across the inner/outer iterations of a solve;
-``solve_bucket``
-    this sweep's right-hand sides and the solve into ``psi_angle``.
+    the angle's invariants, the factor-cache unit -- everything that depends
+    only on the mesh geometry, the ordinate direction and the total cross
+    sections, none of which change across the inner/outer iterations of a
+    solve;
+``solve_buckets``
+    this sweep's right-hand sides and the solve into ``psi_angle`` of a run
+    of the angle's buckets, in order: all of them in one call, or (with
+    bucket sampling on) one bucket per call.
 
 Three registered engines share the loop:
 
-* ``vectorized`` (``keep_factors=False``) rebuilds the entry every sweep and
-  solves it one-shot through ``LocalSolver.solve_batched``; it caches
-  nothing and emits no hit/miss counters.
+* ``vectorized`` (``keep_factors=False``) builds no entry: it assembles
+  every bucket afresh in ``solve_buckets`` and solves it one-shot through
+  ``LocalSolver.solve_batched``; it caches nothing and emits no hit/miss
+  counters.
 * ``prefactorized`` (``keep_factors=True``, paper Section IV-B.1)
-  LU-factorises each bucket batch once, keeps the packed factors and the
-  equally invariant interior couplings in the executor's factor cache, and
-  on every later sweep only assembles the right-hand sides and runs the
-  ``O(N^2)`` triangular substitutions.  The memory cost is the cached
+  LU-factorises each bucket batch of an angle once, keeps the packed
+  factors and the equally invariant interior couplings in the executor's
+  factor cache (one entry per angle, one pair per bucket), and on every
+  later sweep only assembles the right-hand sides and runs the ``O(N^2)``
+  triangular substitutions.  The memory cost is the cached
   factors, ``E * A * G * N^2`` doubles across the whole quadrature -- the
   same memory-for-time trade the paper discusses for pre-assembled matrices.
   The factor/solve pair comes from the local solver when it provides one
@@ -42,10 +47,11 @@ Three registered engines share the loop:
   bit while ``lapack`` keeps its distinct roundings on each name; solvers
   without the pair fall back to the hand-written batched LU.
 * ``compiled`` (:mod:`repro.engines.compiled`) subclasses the engine and
-  overrides the hooks with JIT kernel calls: a packed entry assembled and
-  factorised in compiled code, one fused assemble-and-solve per bucket, and
-  an angle array with one ghost row per boundary face behind the ``E``
-  element rows, so boundary inflow is one more packed upwind coupling.
+  overrides the hooks with JIT kernel calls: the angle's packed entry
+  assembled and factorised in compiled code, one fused assemble-and-solve
+  call per angle, and an angle array with one ghost row per boundary face
+  behind the ``E`` element rows, so boundary inflow is one more packed
+  upwind coupling.
 
 Equivalence with the reference engine is exact up to floating-point
 associativity (the property tests assert agreement to ~1e-12).  The cache
@@ -205,6 +211,18 @@ def assemble_bucket_rhs(
     return b
 
 
+def _assemble_bucket(executor, angle, bucket):
+    """A bucket's stacked ``(B*G, N, N)`` systems and interior upwind couplings."""
+    direction = executor.quadrature.directions[angle]
+    orient = executor.schedule.for_angle(angle).classification.orientation[bucket]
+    num_nodes = executor.num_nodes
+    systems = assemble_bucket_matrices(executor, direction, orient, bucket)
+    return (
+        systems.reshape(-1, num_nodes, num_nodes),
+        interior_upwind_couplings(executor, direction, orient, bucket),
+    )
+
+
 def _factor_pair(solver):
     """The solver's factor-once/solve-many pair, or the hand-written batched LU."""
     if getattr(solver, "supports_prefactorisation", False):
@@ -213,15 +231,16 @@ def _factor_pair(solver):
 
 
 class BatchedSweepEngine:
-    """One bucket loop, three hooks: the angle's array, the (angle, bucket) entry, the solve.
+    """One bucket loop, three hooks: the angle's array, the angle's entry, the solve.
 
     Parameters
     ----------
     keep_factors:
-        Whether the entry is LU-factorised and kept in
+        Whether the angle's buckets are LU-factorised once and kept in
         ``executor.factor_cache`` across sweeps (``prefactorized``) or
-        rebuilt and solved one-shot every sweep (``vectorized``).  Fixed at
-        registration -- the two names are two instances of this class.
+        assembled and solved one-shot bucket by bucket every sweep
+        (``vectorized``).  Fixed at registration -- the two names are two
+        instances of this class.
     """
 
     #: Engines sharing a ``bitwise_family`` assemble and solve the same
@@ -235,52 +254,45 @@ class BatchedSweepEngine:
         self.keep_factors = bool(keep_factors)
 
     def sweep_angle(self, executor, angle, total_source, boundary_values, incident, timings):
-        direction = executor.quadrature.directions[angle]
-        asched = executor.schedule.for_angle(angle)
-        orientation = asched.classification.orientation  # (E, 6)
-        num_groups = executor.num_groups
+        buckets = executor.schedule.for_angle(angle).buckets
         psi_angle = self.angle_flux(executor, angle, boundary_values, incident)
-        cache = executor.factor_cache if self.keep_factors else None
-        # Keys are namespaced by the registered engine name so distinct
-        # engines sharing one executor can never read each other's entries.
-        name = getattr(self, "name", "batched")
         tel = active(getattr(executor, "telemetry", None))
-        sampler = None if tel is None else tel.bucket_sampler()
-
-        for index, bucket in enumerate(asched.buckets):
-            # The sampled bucket time reuses the stamps taken for the
-            # assemble/solve split -- the rate-0 path is byte-identical to
-            # the uninstrumented loop.
-            sample = sampler is not None and sampler.want()
-            orient = orientation[bucket]  # (B, 6)
-            entry = None
-            if cache is not None:
-                key = (name, angle, index)
-                entry = cache.get(key)
-                if tel is not None:
-                    tel.incr("factor_cache_misses" if entry is None else "factor_cache_hits")
-            start = built = time.perf_counter()
+        entry = None
+        if self.keep_factors:
+            cache = executor.factor_cache
+            # Keys are namespaced by the registered engine name so distinct
+            # engines sharing one executor can never read each other's entries.
+            key = (getattr(self, "name", "batched"), angle)
+            entry = cache.get(key)
+            if tel is not None:
+                tel.incr("factor_cache_misses" if entry is None else "factor_cache_hits")
             if entry is None:
                 # The invariant assembly is booked as assembly time, the
-                # elimination (if any) as solve time: it is the LU of the
-                # one-shot solve.
-                entry, assembled = self.build_entry(executor, direction, orient, bucket)
-                built = time.perf_counter()
-                timings.assembly_seconds += assembled - start
-                timings.solve_seconds += built - assembled
-                if cache is not None:
-                    cache[key] = entry
-            assembled = self.solve_bucket(
-                executor, angle, entry, orient, bucket, psi_angle,
+                # elimination as solve time: it is the LU of the one-shot solve.
+                start = time.perf_counter()
+                entry, assembly = self.build_entry(executor, angle)
+                timings.assembly_seconds += assembly
+                timings.solve_seconds += time.perf_counter() - start - assembly
+                cache[key] = entry
+
+        # The whole angle in one solve call; with bucket sampling on, every
+        # bucket alone, so each sampled one is timed by itself.
+        sampler = None if tel is None else tel.bucket_sampler()
+        count = len(buckets)
+        runs = [(0, count)] if sampler is None else [(t, t + 1) for t in range(count)]
+        for first, last in runs:
+            sample = sampler is not None and sampler.want()
+            start = time.perf_counter()
+            assembly = self.solve_buckets(
+                executor, angle, entry, first, last, psi_angle,
                 total_source, boundary_values, incident,
             )
             end = time.perf_counter()
-            timings.assembly_seconds += assembled - built
-            timings.solve_seconds += end - assembled
-            systems = bucket.shape[0] * num_groups
-            timings.systems_solved += systems
+            timings.assembly_seconds += assembly
+            timings.solve_seconds += end - start - assembly
             if sample:
-                sampler.record(end - start, systems)
+                sampler.record(end - start, buckets[first].shape[0] * executor.num_groups)
+        timings.systems_solved += executor.mesh.num_cells * executor.num_groups
         return psi_angle[: executor.mesh.num_cells]
 
     def angle_flux(self, executor, angle, boundary_values, incident):
@@ -294,43 +306,53 @@ class BatchedSweepEngine:
             (executor.mesh.num_cells, executor.num_groups, executor.num_nodes), dtype=float
         )
 
-    def build_entry(self, executor, direction, orient, bucket):
-        """Assemble the bucket's invariant systems and interior couplings.
+    def build_entry(self, executor, angle):
+        """The angle's factor-cache entry, built when it is not cached.
 
-        Returns ``(entry, stamp)``: the ``(systems, interior)`` pair --
-        ``systems`` LU-factorised when factors are kept, the plain stacked
-        ``(B*G, N, N)`` matrices otherwise -- and the ``perf_counter`` stamp
-        at which assembly ended and the elimination began.
+        Returns ``(entry, assembly_seconds)``: here one ``(systems,
+        interior)`` pair per bucket -- the LU-factorised stacked ``(B*G, N,
+        N)`` systems and the interior couplings -- and the seconds spent
+        assembling, as opposed to eliminating.
         """
-        num_nodes = executor.num_nodes
-        systems = assemble_bucket_matrices(executor, direction, orient, bucket).reshape(
-            -1, num_nodes, num_nodes
-        )
-        interior = interior_upwind_couplings(executor, direction, orient, bucket)
-        stamp = time.perf_counter()
-        if self.keep_factors:
-            systems = _factor_pair(executor.solver)[0](systems)
-        return (systems, interior), stamp
+        asched = executor.schedule.for_angle(angle)
+        factor = _factor_pair(executor.solver)[0]
+        entry, assembly = [], 0.0
+        for bucket in asched.buckets:
+            start = time.perf_counter()
+            systems, interior = _assemble_bucket(executor, angle, bucket)
+            assembly += time.perf_counter() - start
+            entry.append((factor(systems), interior))
+        return entry, assembly
 
-    def solve_bucket(
-        self, executor, angle, entry, orient, bucket, psi_angle,
+    def solve_buckets(
+        self, executor, angle, entry, first, last, psi_angle,
         total_source, boundary_values, incident,
     ):
-        """Assemble this sweep's right-hand sides and solve into ``psi_angle``.
+        """Solve buckets ``first:last`` of the angle into ``psi_angle``, in order.
 
-        Returns the ``perf_counter`` stamp at which assembly ended and the
-        solve began.
+        ``entry`` is the angle's cached entry, or ``None`` when factors are
+        not kept (each bucket is then assembled here).  Returns the seconds
+        spent assembling, as opposed to solving.
         """
-        systems, interior = entry
-        rhs = assemble_bucket_rhs(
-            executor, angle, orient, bucket, psi_angle,
-            total_source, boundary_values, incident, interior,
-        )
-        stamp = time.perf_counter()
+        asched = executor.schedule.for_angle(angle)
         solver = executor.solver
         solve = _factor_pair(solver)[1] if self.keep_factors else solver.solve_batched
-        psi_angle[bucket] = solve(systems, rhs.reshape(-1, executor.num_nodes)).reshape(rhs.shape)
-        return stamp
+        assembly = 0.0
+        for index in range(first, last):
+            start = time.perf_counter()
+            bucket = asched.buckets[index]
+            systems, interior = (
+                _assemble_bucket(executor, angle, bucket) if entry is None else entry[index]
+            )
+            rhs = assemble_bucket_rhs(
+                executor, angle, asched.classification.orientation[bucket], bucket, psi_angle,
+                total_source, boundary_values, incident, interior,
+            )
+            assembly += time.perf_counter() - start
+            psi_angle[bucket] = solve(systems, rhs.reshape(-1, executor.num_nodes)).reshape(
+                rhs.shape
+            )
+        return assembly
 
 
 register_engine(

@@ -5,24 +5,26 @@ factors but still pays numpy dispatch for the entry build, the
 right-hand-side assembly and the batched substitutions, this engine runs
 all of it in the compiled kernels of :mod:`repro.engines.compiled.kernels`:
 
-* the one-time (angle, bucket) entry build is array allocation plus two
-  kernel calls -- ``build_bucket`` assembles the local systems and the
-  packed interior upwind couplings straight into the entry's arrays,
-  ``lu_factor`` factorises the systems in place -- with the Table II
-  assembly/solve stamp taken between them;
-* every bucket of every sweep is one ``sweep_bucket`` call: assemble the
-  volumetric source, subtract the packed couplings reading ``psi`` of
-  earlier buckets, and run the pivoted forward/backward substitutions --
-  one pass over preallocated contiguous arrays, no temporaries, no
-  interpreter in the loop.
+* the one-time per-angle entry build is array allocation plus two kernel
+  calls -- ``build_angle`` assembles the local systems and the packed
+  upwind couplings of every bucket straight into the entry's concatenated
+  arrays, ``lu_factor`` factorises the systems in place -- with the Table
+  II assembly/solve split taken between them;
+* every angle of every sweep is one ``sweep_angle`` call walking the
+  angle's CSR bucket offsets: per bucket, assemble the volumetric source,
+  subtract the packed couplings reading ``psi`` of earlier buckets, and run
+  the pivoted forward/backward substitutions -- one pass over preallocated
+  contiguous arrays, no temporaries, no interpreter in the loop.  With
+  bucket sampling on, the same kernel runs one bucket's slice of the
+  offsets per call.
 
 The engine is a :class:`~repro.engines.batched.BatchedSweepEngine` with
 kept factors: the bucket loop, cache keying and hit/miss counting are the
 shared ones, and this module supplies only the three hooks.  It therefore
 follows the executor's factor-cache lifecycle (:mod:`repro.engines.base`)
-exactly like ``prefactorized``; entries invalidated or spilled under a
-budget are rebuilt on the next miss, so the kernel never sees a stale
-factor.
+exactly like ``prefactorized``, one entry per angle; entries invalidated or
+spilled under a budget are rebuilt on the next miss, so the kernel never
+sees a stale factor.
 
 Boundary inflow is one more upwind coupling.  An incident flux, a lagged
 block-Jacobi trace and a reflected trace are each an upwind nodal vector
@@ -60,7 +62,7 @@ __all__ = ["CompiledSweepEngine"]
 
 @register_engine("compiled", aliases=("jit", "native"))
 class CompiledSweepEngine(BatchedSweepEngine):
-    """JIT-built packed LU factors and a fused JIT bucket kernel over them (numba or cffi)."""
+    """JIT-built packed LU factors and a fused JIT angle kernel over them (numba or cffi)."""
 
     #: Own family: the kernels fix their own reduction order, so
     #: bit-equality with the numpy ``batched`` family is not guaranteed.
@@ -77,55 +79,62 @@ class CompiledSweepEngine(BatchedSweepEngine):
         self.provider_name = provider.name
 
     def sweep_angle(self, executor, angle, total_source, boundary_values, incident, timings):
-        # Kernel inputs must be packed; do it once per angle, not per bucket.
+        # Kernel inputs must be packed; do it once per angle, not per kernel call.
         return super().sweep_angle(
             executor, angle, as_contiguous_f64(total_source), boundary_values, incident, timings
         )
 
-    def build_entry(self, executor, direction, orient, bucket):
-        """Allocate one (angle, bucket) cache entry; assemble and factor it in the kernels."""
+    def build_entry(self, executor, angle):
+        """Allocate the angle's cache entry; assemble and factor it in two kernel calls."""
+        start = time.perf_counter()
+        asched = executor.schedule.for_angle(angle)
         matrices = executor.matrices
-        num_groups = executor.num_groups
+        num_systems = executor.mesh.num_cells * executor.num_groups
         num_nodes = executor.num_nodes
-        systems = bucket.shape[0] * num_groups
         kernels = self._provider.kernels()
 
-        bucket = as_contiguous_i64(bucket)
-        orient = as_contiguous_i64(orient)
+        # The elements in sweep order, bucket t at offsets[t]:offsets[t + 1].
+        elements = as_contiguous_i64(np.concatenate(asched.buckets))
+        offsets = np.zeros(asched.num_buckets + 1, dtype=np.int64)
+        np.cumsum(asched.bucket_sizes(), out=offsets[1:])
+        orient = as_contiguous_i64(asched.classification.orientation[elements])
         # Row of the angle's array holding each inflow face's upwind nodal
         # vector: the interior neighbour, or a boundary face's ghost row;
         # BOUNDARY (negative) wherever there is none.
-        upwind = np.where(orient == -1, executor.mesh.face_neighbors[bucket], BOUNDARY)
+        upwind = np.where(orient == -1, executor.mesh.face_neighbors[elements], BOUNDARY)
         if executor.sees_boundary_inflow:
-            slot = executor.boundary_table().slot[bucket]
+            slot = executor.boundary_table().slot[elements]
             ghost = (orient == -1) & (slot >= 0)
             upwind[ghost] = executor.mesh.num_cells + slot[ghost]
         upwind = as_contiguous_i64(upwind)
-        num_cpl = int(np.count_nonzero(upwind != BOUNDARY))
+        coupled = np.zeros(elements.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(upwind >= 0, axis=1), out=coupled[1:])
+        num_cpl = int(coupled[-1])
         entry = {
-            "mass": as_contiguous_f64(matrices.mass[bucket]),
+            "offsets": offsets,
+            "cpl_offsets": coupled[offsets],
+            "elements": elements,
             "cpl_pos": np.empty(num_cpl, dtype=np.int64),
             "cpl_src": np.empty(num_cpl, dtype=np.int64),
             "cpl_mat": np.empty((num_cpl, num_nodes, num_nodes), dtype=np.float64),
-            "lu": np.empty((systems, num_nodes, num_nodes), dtype=np.float64),
-            "piv": np.empty((systems, num_nodes), dtype=np.int64),
-            "rhs": np.empty((bucket.shape[0], num_groups, num_nodes), dtype=np.float64),
+            "lu": np.empty((num_systems, num_nodes, num_nodes), dtype=np.float64),
+            "piv": np.empty((num_systems, num_nodes), dtype=np.int64),
         }
-        # The face matrices are C-contiguous as ElementMatrices allocates
-        # them (no copy here) and only the faces needed are read; the
-        # einsum-built gradient is not, so its bucket rows are gathered.
-        kernels.build_bucket(
-            bucket, orient, upwind, as_contiguous_f64(direction),
-            as_contiguous_f64(matrices.gradient[bucket]),
+        # The element matrices are C-contiguous as ElementMatrices builds
+        # them, so the kernels read them whole (no copy, no gather).
+        kernels.build_angle(
+            offsets, elements, orient, upwind,
+            as_contiguous_f64(executor.quadrature.directions[angle]),
+            as_contiguous_f64(matrices.gradient),
             as_contiguous_f64(matrices.face_own),
             as_contiguous_f64(matrices.face_neighbor),
-            entry["mass"], as_contiguous_f64(executor.sigma_t[bucket]),
+            as_contiguous_f64(matrices.mass), as_contiguous_f64(executor.sigma_t),
             entry["lu"], entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"],
         )
-        stamp = time.perf_counter()
+        assembly = time.perf_counter() - start
         if kernels.lu_factor(entry["lu"], entry["piv"]) != 0:
             raise np.linalg.LinAlgError("at least one matrix in the batch is singular")
-        return entry, stamp
+        return entry, assembly
 
     def angle_flux(self, executor, angle, boundary_values, incident):
         """The angle's array, boundary inflow in its ghost rows: incident, then lagged."""
@@ -152,15 +161,16 @@ class CompiledSweepEngine(BatchedSweepEngine):
                     psi_angle[num_cells + slot] = trace
         return psi_angle
 
-    def solve_bucket(
-        self, executor, angle, entry, orient, bucket, psi_angle,
+    def solve_buckets(
+        self, executor, angle, entry, first, last, psi_angle,
         total_source, boundary_values, incident,
     ):
-        """One kernel call, fused assemble + solve: all of it is booked as solve time."""
-        stamp = time.perf_counter()
-        self._provider.kernels().sweep_bucket(
-            as_contiguous_i64(bucket), entry["mass"], total_source,
+        """One kernel call over the offsets of ``first:last``, fused assemble +
+        solve: all of it is booked as solve time."""
+        self._provider.kernels().sweep_angle(
+            entry["offsets"][first : last + 1], entry["cpl_offsets"][first : last + 1],
+            entry["elements"], as_contiguous_f64(executor.matrices.mass), total_source,
             entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"],
-            entry["lu"], entry["piv"], entry["rhs"], psi_angle,
+            entry["lu"], entry["piv"], psi_angle,
         )
-        return stamp
+        return 0.0

@@ -5,25 +5,29 @@ cffi provider's C from them, statement for statement -- so they keep to the
 subset both accept (explicit loops over preallocated C-contiguous arrays,
 scalar locals, no numpy API beyond indexing; see :mod:`.cgen`), and the
 tests hold every provider to them bit for bit.  Every argument's dtype and
-shape is in :data:`ARGUMENTS`: ``B`` bucket elements, ``G`` groups, ``N``
-nodes per element, ``E`` mesh elements, ``K`` packed couplings, ``S = B*G``
-systems, ``R`` rows of the angle's ``psi``.
+shape is in :data:`ARGUMENTS`: ``E`` mesh elements, ``G`` groups, ``N``
+nodes per element, ``T`` bucket offsets (buckets + 1), ``K`` packed
+couplings, ``S = E*G`` systems, ``R`` rows of the angle's ``psi``.
+
+One call covers one angle: ``elements`` lists the mesh elements in sweep
+order, and bucket ``t`` is ``elements[offsets[t]:offsets[t + 1]]``.  System
+``p*G + g`` belongs to the element at position ``p``, group ``g``.
 
 Build contract
 --------------
-``build_bucket_kernel`` assembles the bucket's local systems (``-Omega.G``
-plus the outflow own-face terms plus ``sigma_t * M``) into ``lu``, system
-``b*G + g`` belonging to element ``b``, group ``g``, and packs the coupling
-``Omega . face_neighbor`` of every coupled inflow face into ``cpl_pos`` /
-``cpl_src`` / ``cpl_mat`` (bucket position, upwind ``psi`` row, matrix),
-face-major: all of face 0 in bucket order, then face 1, ...  ``orient`` is
-+1 outflow, -1 inflow, 0 tangential for this ``direction``; ``upwind`` is
-the row of ``psi`` holding each inflow face's upwind nodal vector -- the
+``build_angle_kernel`` assembles every element's local systems (``-Omega.G``
+plus the outflow own-face terms plus ``sigma_t * M``) into ``lu`` and packs
+the coupling ``Omega . face_neighbor`` of every coupled inflow face into
+``cpl_pos`` / ``cpl_src`` / ``cpl_mat`` (the element's ``psi`` row, the
+upwind ``psi`` row, the matrix), bucket by bucket and face-major within a
+bucket: all of face 0 in bucket order, then face 1, ...  ``orient`` is +1
+outflow, -1 inflow, 0 tangential for this ``direction``; ``upwind`` is the
+row of ``psi`` holding each inflow face's upwind nodal vector -- the
 interior neighbour's element id, or ``E + slot`` for the ghost row of a
 boundary face, which is coupled exactly like a neighbour -- and negative
-everywhere else, so ``K`` counts its non-negative entries.  ``gradient``,
-``mass`` and ``sigma_t`` hold the bucket elements' rows; ``face_own`` and
-``face_neighbor`` are the whole mesh's, indexed through ``bucket``.
+everywhere else, so ``K`` counts its non-negative entries.  Both are in
+sweep order; ``gradient``, ``mass``, ``sigma_t``, ``face_own`` and
+``face_neighbor`` are the whole mesh's, indexed through ``elements``.
 
 ``lu_factor_kernel(lu, piv)`` factorises in place: on return ``lu`` holds
 the packed factors (unit lower triangle below the diagonal) and ``piv`` the
@@ -36,92 +40,96 @@ garbage.
 
 Sweep contract
 --------------
-``sweep_bucket_kernel`` assembles the bucket's right-hand sides (the
-per-ordinate total ``source``, indexed through ``bucket``, times ``mass``,
-minus the packed upwind couplings) into the scratch ``rhs`` -- nothing is
-read from it -- runs the pivoted forward/backward substitutions against
-``lu``/``piv`` in place and writes the solution to the bucket's rows of
-``psi``.  Rows ``< E`` of ``psi`` are the elements (upwind values are read
-from earlier buckets); rows ``>= E`` are the read-only ghost rows, one per
-boundary face, holding the boundary inflow the engine filled in before the
-angle's first bucket.
+``sweep_angle_kernel`` runs the buckets of ``offsets`` in order, and each in
+three phases: the right-hand sides (the per-ordinate total ``source`` times
+``mass``) of its elements, minus its packed upwind couplings -- those of
+``cpl_offsets[t]:cpl_offsets[t + 1]`` -- then the pivoted forward/backward
+substitutions against ``lu``/``piv``.  All three work in place in the
+elements' rows of ``psi``, which end up holding the solution.  Rows ``< E``
+of ``psi`` are the elements (upwind values are read from earlier buckets);
+rows ``>= E`` are the read-only ghost rows, one per boundary face, holding
+the boundary inflow the engine filled in before the call.  ``offsets`` and
+``cpl_offsets`` may be any equal-length slices of the angle's: a slice
+sweeps just those buckets, with the same arithmetic.
 """
 
 from __future__ import annotations
 
-__all__ = ["ARGUMENTS", "build_bucket_kernel", "lu_factor_kernel", "sweep_bucket_kernel"]
+__all__ = ["ARGUMENTS", "build_angle_kernel", "lu_factor_kernel", "sweep_angle_kernel"]
 
 #: dtype and shape of every kernel argument, by name: a letter is a size
 #: shared by every argument that names it in one call, a digit a fixed size.
 #: numba ignores this table; cgen types the C by it.
 ARGUMENTS = {
-    "bucket": "i64[B]",
-    "orient": "i64[B, 6]",
-    "upwind": "i64[B, 6]",
+    "offsets": "i64[T]",
+    "cpl_offsets": "i64[T]",
+    "elements": "i64[E]",
+    "orient": "i64[E, 6]",
+    "upwind": "i64[E, 6]",
     "direction": "f64[3]",
-    "gradient": "f64[B, 3, N, N]",
+    "gradient": "f64[E, 3, N, N]",
     "face_own": "f64[E, 6, 3, N, N]",
     "face_neighbor": "f64[E, 6, 3, N, N]",
-    "mass": "f64[B, N, N]",
-    "sigma_t": "f64[B, G]",
+    "mass": "f64[E, N, N]",
+    "sigma_t": "f64[E, G]",
     "source": "f64[E, G, N]",
     "cpl_pos": "i64[K]",
     "cpl_src": "i64[K]",
     "cpl_mat": "f64[K, N, N]",
     "lu": "f64[S, N, N]",
     "piv": "i64[S, N]",
-    "rhs": "f64[B, G, N]",
     "psi": "f64[R, G, N]",
 }
 
 
-def build_bucket_kernel(
-    bucket, orient, upwind, direction, gradient, face_own, face_neighbor,
+def build_angle_kernel(
+    offsets, elements, orient, upwind, direction, gradient, face_own, face_neighbor,
     mass, sigma_t, lu, cpl_pos, cpl_src, cpl_mat,
 ):
-    """Assemble one bucket's local systems and packed upwind couplings (see module docs)."""
-    num_bucket = bucket.shape[0]
+    """Assemble one angle's local systems and packed upwind couplings (see module docs)."""
     num_groups = sigma_t.shape[1]
     num_nodes = mass.shape[1]
     o0 = direction[0]
     o1 = direction[1]
     o2 = direction[2]
 
-    for b in range(num_bucket):
-        grad = gradient[b]
-        base = lu[b * num_groups]
+    for p in range(elements.shape[0]):
+        element = elements[p]
+        grad = gradient[element]
+        base = lu[p * num_groups]
         # Streaming matrix, accumulated in the element's first system:
         # -Omega.G plus Omega.F_own of every outflow face.
         for i in range(num_nodes):
             for j in range(num_nodes):
                 base[i, j] = -(o0 * grad[0, i, j] + o1 * grad[1, i, j] + o2 * grad[2, i, j])
         for face in range(6):
-            if orient[b, face] == 1:
-                own = face_own[bucket[b], face]
+            if orient[p, face] == 1:
+                own = face_own[element, face]
                 for i in range(num_nodes):
                     for j in range(num_nodes):
                         base[i, j] += o0 * own[0, i, j] + o1 * own[1, i, j] + o2 * own[2, i, j]
-        # Per-group systems A[b, g] = base + sigma_t[b, g] * M[b]; group 0
+        # Per-group systems A[p, g] = base + sigma_t[e, g] * M[e]; group 0
         # last, because it overwrites the base it is built from.
         for g in range(num_groups - 1, -1, -1):
-            sigma = sigma_t[b, g]
+            sigma = sigma_t[element, g]
             for i in range(num_nodes):
                 for j in range(num_nodes):
-                    lu[b * num_groups + g, i, j] = base[i, j] + sigma * mass[b, i, j]
+                    lu[p * num_groups + g, i, j] = base[i, j] + sigma * mass[element, i, j]
 
-    # Interior upwind couplings, face-major.
+    # Upwind couplings, bucket by bucket, face-major within a bucket.
     k = 0
-    for face in range(6):
-        for b in range(num_bucket):
-            if upwind[b, face] >= 0:
-                nbr = face_neighbor[bucket[b], face]
-                cpl = cpl_mat[k]
-                cpl_pos[k] = b
-                cpl_src[k] = upwind[b, face]
-                for i in range(num_nodes):
-                    for j in range(num_nodes):
-                        cpl[i, j] = o0 * nbr[0, i, j] + o1 * nbr[1, i, j] + o2 * nbr[2, i, j]
-                k += 1
+    for t in range(offsets.shape[0] - 1):
+        for face in range(6):
+            for p in range(offsets[t], offsets[t + 1]):
+                if upwind[p, face] >= 0:
+                    nbr = face_neighbor[elements[p], face]
+                    cpl = cpl_mat[k]
+                    cpl_pos[k] = elements[p]
+                    cpl_src[k] = upwind[p, face]
+                    for i in range(num_nodes):
+                        for j in range(num_nodes):
+                            cpl[i, j] = o0 * nbr[0, i, j] + o1 * nbr[1, i, j] + o2 * nbr[2, i, j]
+                    k += 1
 
 
 def lu_factor_kernel(lu, piv):
@@ -157,52 +165,51 @@ def lu_factor_kernel(lu, piv):
     return 0
 
 
-def sweep_bucket_kernel(bucket, mass, source, cpl_pos, cpl_src, cpl_mat, lu, piv, rhs, psi):
-    """Fused assemble + factored-solve of one wavefront bucket (see module docs)."""
-    num_bucket = bucket.shape[0]
-    num_groups = rhs.shape[1]
-    num_nodes = rhs.shape[2]
+def sweep_angle_kernel(
+    offsets, cpl_offsets, elements, mass, source, cpl_pos, cpl_src, cpl_mat, lu, piv, psi,
+):
+    """Fused assemble + factored-solve of a run of wavefront buckets (see module docs)."""
+    num_groups = psi.shape[1]
+    num_nodes = psi.shape[2]
 
-    # Volumetric source: rhs[b, g, i] = sum_j source[e, g, j] * mass[b, i, j].
-    for b in range(num_bucket):
-        element = bucket[b]
-        for g in range(num_groups):
-            for i in range(num_nodes):
-                acc = 0.0
-                for j in range(num_nodes):
-                    acc += source[element, g, j] * mass[b, i, j]
-                rhs[b, g, i] = acc
-    # Upwind couplings: psi of earlier buckets is final, ghost rows are given.
-    for k in range(cpl_pos.shape[0]):
-        b = cpl_pos[k]
-        upwind = cpl_src[k]
-        for g in range(num_groups):
-            for i in range(num_nodes):
-                acc = 0.0
-                for j in range(num_nodes):
-                    acc += psi[upwind, g, j] * cpl_mat[k, i, j]
-                rhs[b, g, i] -= acc
-
-    # Pivoted forward/backward substitution against the packed LU, in place
-    # in rhs, then scatter into psi.  Mirrors batched_gaussian_lu_solve.
-    for b in range(num_bucket):
-        element = bucket[b]
-        for g in range(num_groups):
-            s = b * num_groups + g
-            for k in range(num_nodes):
-                p = piv[s, k]
-                if p != k:
-                    tmp = rhs[b, g, k]
-                    rhs[b, g, k] = rhs[b, g, p]
-                    rhs[b, g, p] = tmp
-            for k in range(num_nodes - 1):
-                bk = rhs[b, g, k]
-                for j in range(k + 1, num_nodes):
-                    rhs[b, g, j] -= lu[s, j, k] * bk
-            for k in range(num_nodes - 1, -1, -1):
-                acc = rhs[b, g, k]
-                for j in range(k + 1, num_nodes):
-                    acc -= lu[s, k, j] * rhs[b, g, j]
-                rhs[b, g, k] = acc / lu[s, k, k]
-            for i in range(num_nodes):
-                psi[element, g, i] = rhs[b, g, i]
+    for t in range(offsets.shape[0] - 1):
+        # Volumetric source: psi[e, g, i] = sum_j source[e, g, j] * mass[e, i, j].
+        for p in range(offsets[t], offsets[t + 1]):
+            element = elements[p]
+            for g in range(num_groups):
+                for i in range(num_nodes):
+                    acc = 0.0
+                    for j in range(num_nodes):
+                        acc += source[element, g, j] * mass[element, i, j]
+                    psi[element, g, i] = acc
+        # Upwind couplings: psi of earlier buckets is final, ghost rows are given.
+        for k in range(cpl_offsets[t], cpl_offsets[t + 1]):
+            element = cpl_pos[k]
+            upwind = cpl_src[k]
+            for g in range(num_groups):
+                for i in range(num_nodes):
+                    acc = 0.0
+                    for j in range(num_nodes):
+                        acc += psi[upwind, g, j] * cpl_mat[k, i, j]
+                    psi[element, g, i] -= acc
+        # Pivoted forward/backward substitution against the packed LU, in
+        # place.  Mirrors batched_gaussian_lu_solve.
+        for p in range(offsets[t], offsets[t + 1]):
+            element = elements[p]
+            for g in range(num_groups):
+                s = p * num_groups + g
+                for k in range(num_nodes):
+                    q = piv[s, k]
+                    if q != k:
+                        tmp = psi[element, g, k]
+                        psi[element, g, k] = psi[element, g, q]
+                        psi[element, g, q] = tmp
+                for k in range(num_nodes - 1):
+                    bk = psi[element, g, k]
+                    for j in range(k + 1, num_nodes):
+                        psi[element, g, j] -= lu[s, j, k] * bk
+                for k in range(num_nodes - 1, -1, -1):
+                    acc = psi[element, g, k]
+                    for j in range(k + 1, num_nodes):
+                        acc -= lu[s, k, j] * psi[element, g, j]
+                    psi[element, g, k] = acc / lu[s, k, k]

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernels import ARGUMENTS, build_bucket_kernel, lu_factor_kernel, sweep_bucket_kernel
+from .kernels import ARGUMENTS, build_angle_kernel, lu_factor_kernel, sweep_angle_kernel
 
 __all__ = ["Kernels", "Provider", "select_provider", "unavailable_reason", "INSTALL_HINT"]
 
@@ -57,12 +57,12 @@ INSTALL_HINT = (
 class Kernels(NamedTuple):
     """Executable forms of the three portable kernels, same signatures."""
 
-    build_bucket: Callable
+    build_angle: Callable
     lu_factor: Callable
-    sweep_bucket: Callable
+    sweep_angle: Callable
 
 
-_PORTABLE = Kernels(build_bucket_kernel, lu_factor_kernel, sweep_bucket_kernel)
+_PORTABLE = Kernels(build_angle_kernel, lu_factor_kernel, sweep_angle_kernel)
 
 
 class Provider:

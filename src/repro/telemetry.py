@@ -95,8 +95,8 @@ class BucketSampler:
     """Deterministic per-bucket sampler for fine-grained sweep telemetry.
 
     Phase timers bracket whole sweeps; engines additionally offer *bucket
-    sampling* -- timing a deterministic subset of their per-(angle, bucket)
-    kernel invocations.  A Bresenham accumulator picks every ``1/rate``-th
+    sampling* -- timing a deterministic subset of their buckets, each solved
+    by a call of its own.  A Bresenham accumulator picks every ``1/rate``-th
     bucket with no RNG, so two identical runs sample identical buckets and
     the counters are reproducible.
 
@@ -148,9 +148,9 @@ class Telemetry:
         instrument can be handed around unconditionally and switched off in
         one place.
     bucket_sample_rate:
-        Fraction of per-(angle, bucket) kernel invocations the engines time
-        individually (0 disables bucket sampling entirely; 1 times every
-        bucket).  See :class:`BucketSampler`.
+        Fraction of the sweep's buckets the engines time individually (0
+        disables bucket sampling entirely; 1 times every bucket).  See
+        :class:`BucketSampler`.
     """
 
     def __init__(self, enabled: bool = True, bucket_sample_rate: float = 0.0):

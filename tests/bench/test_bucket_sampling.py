@@ -1,7 +1,7 @@
 """Per-bucket phase sampling: deterministic, proportional, and free at rate 0.
 
 ``Telemetry(bucket_sample_rate=r)`` makes the engines time a deterministic
-subset of their per-(angle, bucket) kernel invocations.  The contract under
+subset of their buckets, each solved by a call of its own.  The contract under
 test:
 
 * rate 0 (the default) hands the engines ``None`` -- the bucket loop is the

@@ -156,7 +156,7 @@ class TestRunTelemetry:
         result = repro.run(SMALL.with_(engine="prefactorized"), telemetry=True)
         counters = result.telemetry.counters
         assert counters["factor_cache_misses"] > 0
-        # Sweep 1 factors every (angle, bucket); the remaining inners hit.
+        # Sweep 1 factors every angle; the remaining inners hit.
         assert counters["factor_cache_hits"] == (
             (SMALL.num_inners - 1) * counters["factor_cache_misses"]
         )

@@ -17,15 +17,19 @@ or a third-party plugin -- must honour the same behavioural contract:
   traces present on some inflow faces and absent on others) and reflective
   sweeps agree with ``reference`` in flux, leakage and every outgoing halo
   trace, for orders 1 and 2, and are bit-identical across octant threads;
+* **leakage** -- ``SweepResult.leakage`` equals the per-face tally of
+  :func:`reference_leakage` bit for bit: vacuum, incident, block-Jacobi
+  subdomain and reflective, orders 1 and 2, serial and octant-parallel;
 * **one epilogue** -- the serial and the octant-parallel sweep weight, bank
   and halo-collect every angle identically: same ``outgoing_halo`` keys and
   traces, same angular-flux bank, bit for bit;
 * **determinism** -- octant-parallel execution is bit-for-bit identical
   across thread counts, including under a factor-cache budget;
 * **observability is free** -- telemetry (even with bucket sampling at full
-  rate) never changes a single bit of the numerics, and a budgeted
-  factor cache stays within its byte budget while producing the identical
-  flux (spilled factors are recomputed, never refused).
+  rate, which times every bucket of every sweep) never changes a single
+  bit of the numerics, and a budgeted factor cache stays within its byte
+  budget while producing the identical flux (spilled factors are
+  recomputed, never refused).
 
 :class:`EngineContract` packages each clause as a ``check_*`` method so the
 parametrised suite (``test_contract.py``) can run every clause against
@@ -50,7 +54,7 @@ from repro.parallel.block_jacobi import BlockJacobiDriver
 from repro.telemetry import Telemetry
 from repro.verify.mms import FemMMSProblem, estimate_order
 
-__all__ = ["EngineContract", "CONTRACT_SPEC"]
+__all__ = ["EngineContract", "CONTRACT_SPEC", "reference_leakage"]
 
 #: Small but non-trivial: twisted mesh, multi-group, scattering, several
 #: buckets per angle -- enough structure to catch wrong coupling signs,
@@ -64,6 +68,51 @@ CONTRACT_SPEC = ProblemSpec(
     num_inners=3,
     num_outers=2,
 )
+
+
+def reference_leakage(executor, result) -> np.ndarray:
+    """The leakage oracle: the sweep's per-face tally, one face at a time.
+
+    Walks ``mesh.boundary_faces()`` in order, skipping the executor's halo
+    faces (their flow is the halo exchange's), over the angular flux
+    ``result`` banked, and reduces the angles as :meth:`SweepExecutor.sweep`
+    does: one running sum over every angle, or one per octant summed in
+    octant order.  ``SweepResult.leakage`` must equal it bit for bit.
+    """
+    psi = result.angular_flux.psi  # (E, A, G, N)
+    quadrature = executor.quadrature
+    incident = executor.boundary.incoming_value()
+    zeros = np.zeros(executor.num_groups, dtype=float)
+
+    def tally(angle):
+        direction = quadrature.directions[angle]
+        orientation = executor.schedule.for_angle(angle).classification.orientation
+        leak = zeros.copy()
+        for element, face in executor.mesh.boundary_faces().tolist():
+            if (element, face) in executor._halo_set:
+                continue
+            coupling = np.einsum("d,dij->ij", direction, executor.matrices.face_own[element, face])
+            if orientation[element, face] == 1:
+                # oint_f (Omega.n) psi dS = 1^T F psi: the constant is in the space.
+                leak += psi[element, angle] @ coupling.sum(axis=0)
+            elif orientation[element, face] == -1 and incident != 0.0:
+                # Incident flux is constant over the face: psi = incident.
+                leak += incident * coupling.sum()
+        return leak
+
+    def partial(angles):
+        part = zeros.copy()
+        for angle in angles:
+            part += quadrature.weights[angle] * tally(angle)
+        return part
+
+    octants = [octant.tolist() for octant in quadrature.octant_order()]
+    if not executor.octant_parallel:
+        return partial([angle for octant in octants for angle in octant])
+    total = zeros.copy()
+    for octant in octants:
+        total += partial(octant)
+    return total
 
 
 class EngineContract:
@@ -95,7 +144,8 @@ class EngineContract:
     # ------------------------------------------------------- boundary inflow
     @staticmethod
     def _boundary_inflow_sweep(spec: ProblemSpec, scenario: str, octant_threads: int = 0):
-        """The last sweep of one boundary-inflow scenario (see the clause)."""
+        """``(executor, result)`` of the last sweep of one boundary scenario
+        (see the clauses), its angular flux banked."""
         threads = (
             {"octant_parallel": True, "num_threads": octant_threads} if octant_threads else {}
         )
@@ -104,12 +154,13 @@ class EngineContract:
             spec = spec.with_(boundary=boundary, npex=2, npey=1)
             executor = BlockJacobiDriver(spec, **threads).executors[0]
         else:
-            boundary = (
-                BoundaryCondition(kind="incident", incident_flux=1.5)
-                if scenario == "incident"
-                else BoundaryCondition(kind="reflective")
-            )
+            boundary = {
+                "vacuum": BoundaryCondition(),
+                "incident": BoundaryCondition(kind="incident", incident_flux=1.5),
+                "reflective": BoundaryCondition(kind="reflective"),
+            }[scenario]
             executor = TransportSolver(spec.with_(boundary=boundary), **threads).executor
+        executor.store_angular_flux = True
         rng = np.random.default_rng(7)
         shape = (executor.mesh.num_cells, executor.num_groups, executor.num_nodes)
         source = 1.0 + rng.random(shape)
@@ -129,7 +180,7 @@ class EngineContract:
             for _ in range(2):
                 executor.reflective.update(lagged, result.outgoing_halo)
                 result = executor.sweep(source, lagged)
-        return result
+        return executor, result
 
     def check_boundary_inflow(self, tolerance: float = 1e-12) -> None:
         """Boundary inflow of every kind agrees with ``reference``.
@@ -150,8 +201,8 @@ class EngineContract:
             spec = self.spec.with_(order=order)
             for scenario in ("incident", "lagged", "reflective"):
                 what = f"order {order} {scenario}"
-                want = self._boundary_inflow_sweep(spec.with_(engine="reference"), scenario)
-                serial = self._boundary_inflow_sweep(spec, scenario)
+                _, want = self._boundary_inflow_sweep(spec.with_(engine="reference"), scenario)
+                _, serial = self._boundary_inflow_sweep(spec, scenario)
                 close(serial.scalar_flux, want.scalar_flux, f"{what} flux")
                 close(serial.leakage, want.leakage, f"{what} leakage")
                 assert set(serial.outgoing_halo) == set(want.outgoing_halo), what
@@ -160,7 +211,7 @@ class EngineContract:
                     close(serial.outgoing_halo[key], trace, f"{what} halo trace {key}")
 
                 one, two = (
-                    self._boundary_inflow_sweep(spec, scenario, octant_threads=threads)
+                    self._boundary_inflow_sweep(spec, scenario, octant_threads=threads)[1]
                     for threads in (1, 2)
                 )
                 assert np.array_equal(one.scalar_flux, two.scalar_flux), what
@@ -170,6 +221,27 @@ class EngineContract:
                     assert set(octant.outgoing_halo) == set(serial.outgoing_halo), what
                     for key, trace in serial.outgoing_halo.items():
                         assert np.array_equal(octant.outgoing_halo[key], trace), (what, key)
+
+    def check_leakage_oracle(self) -> None:
+        """``SweepResult.leakage`` is the per-face tally's, bit for bit.
+
+        Vacuum, incident, a block-Jacobi 2x1 subdomain (its rank-interface
+        faces excluded, lagged traces on some of them) and reflective (every
+        boundary face a halo face: no domain face, zero leakage), orders 1
+        and 2, serial and octant-parallel: see :func:`reference_leakage`.
+        """
+        for order in (1, 2):
+            spec = self.spec.with_(order=order)
+            for scenario in ("vacuum", "incident", "lagged", "reflective"):
+                for threads in (0, 2):
+                    executor, result = self._boundary_inflow_sweep(spec, scenario, threads)
+                    want = reference_leakage(executor, result)
+                    assert np.array_equal(result.leakage, want), (
+                        f"{self.engine}: order {order} {scenario} octant threads {threads}: "
+                        f"leakage {result.leakage} vs the per-face tally {want}"
+                    )
+                    if scenario == "reflective":
+                        assert not want.any(), self.engine
 
     # -------------------------------------------------- factor-cache lifecycle
     def check_update_materials_invalidates(self) -> None:
@@ -223,7 +295,8 @@ class EngineContract:
         assert all(key[0] == self.engine for key in cache), (
             f"{self.engine}: cache keys not namespaced by the registered name"
         )
-        # Unbudgeted: every (angle, bucket) misses once, then only hits.
+        # Unbudgeted: every angle misses once, then only hits -- one entry,
+        # one lookup and one count per angle per sweep.
         assert misses == len(cache), f"{self.engine}: {misses} misses, {len(cache)} entries"
         assert hits == misses * (telemetry.counters["sweeps"] - 1), self.engine
 
@@ -326,8 +399,11 @@ class EngineContract:
         sampled = Telemetry(bucket_sample_rate=1.0)
         assert np.array_equal(bare, repro.run(self.spec, telemetry=plain).scalar_flux)
         assert np.array_equal(bare, repro.run(self.spec, telemetry=sampled).scalar_flux)
-        assert sampled.counters.get("bucket_samples", 0) >= 0  # counters exist or not,
-        # but numerics above already proved identity either way.
+        # Rate 1 times every bucket of every angle of every sweep, one at a time.
+        schedule = TransportSolver(self.spec).executor.schedule
+        assert sampled.counters["bucket_samples"] == (
+            sampled.counters["sweeps"] * schedule.total_buckets()
+        ), self.engine
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "contract.jsonl"
             with SpanExporter(path) as exporter:
@@ -378,6 +454,7 @@ class EngineContract:
         self.check_mms_order()
         self.check_reference_agreement()
         self.check_boundary_inflow()
+        self.check_leakage_oracle()
         self.check_update_materials_invalidates()
         self.check_set_engine_invalidates()
         self.check_cache_policy()

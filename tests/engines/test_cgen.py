@@ -31,15 +31,15 @@ KERNELS = providers._PORTABLE
 
 #: The kernels' sizes: each C signature's size parameters, in order.
 SIZES = {
-    "build_bucket_kernel": ["B", "G", "N"],
+    "build_angle_kernel": ["G", "N", "E", "T"],
     "lu_factor_kernel": ["S", "N"],
-    "sweep_bucket_kernel": ["B", "G", "N", "K"],
+    "sweep_angle_kernel": ["G", "N", "T"],
 }
 #: The arrays each kernel stores to: the only ones passed writable.
 WRITTEN = {
-    "build_bucket_kernel": ["lu", "cpl_pos", "cpl_src", "cpl_mat"],
+    "build_angle_kernel": ["lu", "cpl_pos", "cpl_src", "cpl_mat"],
     "lu_factor_kernel": ["lu", "piv"],
-    "sweep_bucket_kernel": ["rhs", "psi"],
+    "sweep_angle_kernel": ["psi"],
 }
 
 

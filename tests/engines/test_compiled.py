@@ -5,7 +5,8 @@ single source of truth; the C the cffi provider emits from them
 (:mod:`repro.engines.compiled.cgen`) must reproduce them *bit for bit* (same
 statements, ``-ffp-contract=off``), and the LU kernel must reproduce the
 numpy ``batched_gaussian_lu_factor`` bit for bit -- both asserted here on
-randomised data.  The remaining tests cover the provider selection override,
+randomised data for the cold-path kernels (the sweep kernel's twin is in
+``test_angle_kernel.py``).  The remaining tests cover the provider selection override,
 the cold entry build (compiled, singular systems, each coupling matrix held
 once), the ghost rows that carry boundary inflow through the same kernels,
 and the interaction between a factor-cache budget (spills mid-run) and
@@ -30,11 +31,7 @@ from repro.core.solver import TransportSolver
 from repro.core.sweep import BoundaryValues
 from repro.engines import available_engines, batched, get_engine
 from repro.engines.compiled import providers
-from repro.engines.compiled.kernels import (
-    build_bucket_kernel,
-    lu_factor_kernel,
-    sweep_bucket_kernel,
-)
+from repro.engines.compiled.kernels import build_angle_kernel, lu_factor_kernel
 from repro.materials.library import snap_option1_library
 from repro.mesh.hexmesh import BOUNDARY
 from repro.parallel.block_jacobi import BlockJacobiDriver
@@ -50,62 +47,32 @@ SMALL = ProblemSpec(nx=3, ny=3, nz=3, angles_per_octant=2, num_groups=2,
                     num_inners=3, num_outers=2, engine="compiled")
 
 
-def _random_kernel_inputs(rng, nodes, num_cells=5, ghosts=3, batch=3, groups=2, couplings=6):
-    """Well-conditioned random data exercising both kernel phases.
-
-    ``psi`` carries ``ghosts`` rows behind the ``num_cells`` element rows
-    and the couplings read from both (the first from the last ghost row).
-    """
-    bucket = np.asarray(rng.choice(num_cells, size=batch, replace=False), dtype=np.int64)
-    mass = rng.standard_normal((batch, nodes, nodes))
-    source = rng.standard_normal((num_cells, groups, nodes))
-    cpl_pos = np.asarray(rng.integers(0, batch, size=couplings), dtype=np.int64)
-    cpl_src = np.asarray(rng.integers(0, num_cells + ghosts, size=couplings), dtype=np.int64)
-    cpl_src[0] = num_cells + ghosts - 1
-    cpl_mat = rng.standard_normal((couplings, nodes, nodes))
-    systems = rng.standard_normal((batch * groups, nodes, nodes))
-    systems += nodes * np.eye(nodes)  # diagonally dominant: safe pivots
-    lu, piv = batched_gaussian_lu_factor(systems)
-    rhs = np.full((batch, groups, nodes), np.nan)  # scratch: never read
-    psi = rng.standard_normal((num_cells + ghosts, groups, nodes))
-    return dict(
-        bucket=bucket,
-        mass=np.ascontiguousarray(mass),
-        source=np.ascontiguousarray(source),
-        cpl_pos=cpl_pos,
-        cpl_src=cpl_src,
-        cpl_mat=np.ascontiguousarray(cpl_mat),
-        lu=np.ascontiguousarray(lu),
-        piv=np.ascontiguousarray(piv),
-        rhs=rhs,
-        psi=np.ascontiguousarray(psi),
-    )
-
-
-def _random_build_inputs(rng, nodes, num_cells=4, batch=3, groups=2):
-    """Random data for ``build_bucket_kernel``, every orientation present."""
-    bucket = np.asarray(rng.choice(num_cells, size=batch, replace=False), dtype=np.int64)
-    orient = np.asarray(rng.integers(-1, 2, size=(batch, 6)), dtype=np.int64)
+def _random_build_inputs(rng, nodes, num_cells=5, groups=2):
+    """Random data for ``build_angle_kernel``, every orientation present: all
+    ``num_cells`` elements in a shuffled sweep order, cut into three buckets."""
+    elements = np.asarray(rng.permutation(num_cells), dtype=np.int64)
+    orient = np.asarray(rng.integers(-1, 2, size=(num_cells, 6)), dtype=np.int64)
     orient[0, :3] = (-1, 0, 1)
     # Some inflow faces sit on the domain boundary (negative upwind id).
     upwind = np.where(
-        (orient == -1) & (rng.random((batch, 6)) < 0.7),
-        rng.integers(0, num_cells, size=(batch, 6)),
+        (orient == -1) & (rng.random((num_cells, 6)) < 0.7),
+        rng.integers(0, num_cells, size=(num_cells, 6)),
         -1,
     ).astype(np.int64)
     num_cpl = int(np.count_nonzero(upwind >= 0))
     return dict(
-        bucket=bucket,
+        offsets=np.array([0, 2, 3, num_cells], dtype=np.int64),
+        elements=elements,
         orient=orient,
         upwind=upwind,
         direction=rng.standard_normal(3),
-        gradient=rng.standard_normal((batch, 3, nodes, nodes)),
+        gradient=rng.standard_normal((num_cells, 3, nodes, nodes)),
         face_own=rng.standard_normal((num_cells, 6, 3, nodes, nodes)),
         face_neighbor=rng.standard_normal((num_cells, 6, 3, nodes, nodes)),
-        mass=rng.standard_normal((batch, nodes, nodes)),
-        sigma_t=rng.random((batch, groups)),
+        mass=rng.standard_normal((num_cells, nodes, nodes)),
+        sigma_t=rng.random((num_cells, groups)),
         # NaN-poisoned outputs: every element must be written.
-        lu=np.full((batch * groups, nodes, nodes), np.nan),
+        lu=np.full((num_cells * groups, nodes, nodes), np.nan),
         cpl_pos=np.full(num_cpl, -7, dtype=np.int64),
         cpl_src=np.full(num_cpl, -7, dtype=np.int64),
         cpl_mat=np.full((num_cpl, nodes, nodes), np.nan),
@@ -141,26 +108,6 @@ class TestProviders:
 
     @pytest.mark.skipif(not providers._cffi_available(), reason="cffi/cc missing")
     @pytest.mark.parametrize("nodes", (1, 8, 27, 64))
-    def test_cffi_kernel_matches_python_kernel_bit_for_bit(self, nodes):
-        """The emitted C is the Python statement for statement: identical IEEE
-        arithmetic, ghost rows (``cpl_src >= E``) included."""
-        c_kernel = providers._build_cffi_kernels().sweep_bucket
-        rng = np.random.default_rng(42 + nodes)
-        for trial in range(3):
-            data = _random_kernel_inputs(rng, nodes)
-            py = {k: np.copy(v) for k, v in data.items()}
-            cc = {k: np.copy(v) for k, v in data.items()}
-            sweep_bucket_kernel(**py)
-            c_kernel(**cc)
-            np.testing.assert_array_equal(py["psi"], cc["psi"])
-            np.testing.assert_array_equal(py["rhs"], cc["rhs"])
-            assert not np.isnan(py["psi"]).any()
-            # Only the bucket's rows are written; ghost rows are read-only.
-            untouched = np.setdiff1d(np.arange(data["psi"].shape[0]), data["bucket"])
-            np.testing.assert_array_equal(py["psi"][untouched], data["psi"][untouched])
-
-    @pytest.mark.skipif(not providers._cffi_available(), reason="cffi/cc missing")
-    @pytest.mark.parametrize("nodes", (1, 8, 27, 64))
     def test_cffi_build_and_lu_match_python_kernels_bit_for_bit(self, nodes):
         """The cold path's emitted C: assembly, couplings, LU and pivots."""
         c_kernels = providers._build_cffi_kernels()
@@ -168,8 +115,8 @@ class TestProviders:
         data = _random_build_inputs(rng, nodes)
         py = {k: np.copy(v) for k, v in data.items()}
         cc = {k: np.copy(v) for k, v in data.items()}
-        build_bucket_kernel(**py)
-        c_kernels.build_bucket(**cc)
+        build_angle_kernel(**py)
+        c_kernels.build_angle(**cc)
         for name in ("lu", "cpl_pos", "cpl_src", "cpl_mat"):
             np.testing.assert_array_equal(py[name], cc[name], err_msg=name)
         assert not np.isnan(py["lu"]).any() and not np.isnan(py["cpl_mat"]).any()
@@ -185,29 +132,36 @@ class TestProviders:
 
     def test_build_kernel_matches_the_numpy_assembly(self):
         """The kernel assembles the systems and couplings the numpy engines
-        do (to rounding: einsum reduces in its own order), packed face-major."""
+        do (to rounding: einsum reduces in its own order), bucket by bucket
+        in sweep order, the couplings face-major within each bucket."""
         executor = TransportSolver(SMALL).executor
         angle = 3
         direction = executor.quadrature.directions[angle]
         asched = executor.schedule.for_angle(angle)
-        bucket = max(asched.buckets, key=len)
-        orient = asched.classification.orientation[bucket]
-        entry, _ = get_engine("compiled").build_entry(executor, direction, orient, bucket)
+        entry, _ = get_engine("compiled").build_entry(executor, angle)
+        groups = executor.num_groups
+        np.testing.assert_array_equal(entry["elements"], np.concatenate(asched.buckets))
 
-        systems = batched.assemble_bucket_matrices(executor, direction, orient, bucket)
-        lu, piv = batched_gaussian_lu_factor(systems.reshape(entry["lu"].shape))
-        np.testing.assert_array_equal(entry["piv"], piv)
-        np.testing.assert_allclose(entry["lu"], lu, rtol=1e-12, atol=1e-14)
-        interior = batched.interior_upwind_couplings(executor, direction, orient, bucket)
-        assert "cpl_offsets" not in entry
-        lo = 0
-        for face in sorted(interior):
-            idx, neighbors, coupling = interior[face]
-            packed = slice(lo, lo := lo + idx.shape[0])
-            np.testing.assert_array_equal(entry["cpl_pos"][packed], idx)
-            np.testing.assert_array_equal(entry["cpl_src"][packed], neighbors)
-            np.testing.assert_allclose(entry["cpl_mat"][packed], coupling, rtol=1e-13, atol=1e-16)
-        assert lo == entry["cpl_pos"].shape[0] > 0
+        for t, bucket in enumerate(asched.buckets):
+            first, last = entry["offsets"][t : t + 2]
+            orient = asched.classification.orientation[bucket]
+            systems = batched.assemble_bucket_matrices(executor, direction, orient, bucket)
+            lu, piv = batched_gaussian_lu_factor(systems.reshape(-1, *systems.shape[2:]))
+            mine = slice(first * groups, last * groups)
+            np.testing.assert_array_equal(entry["piv"][mine], piv)
+            np.testing.assert_allclose(entry["lu"][mine], lu, rtol=1e-12, atol=1e-14)
+            interior = batched.interior_upwind_couplings(executor, direction, orient, bucket)
+            lo = entry["cpl_offsets"][t]
+            for face in sorted(interior):
+                idx, neighbors, coupling = interior[face]
+                packed = slice(lo, lo := lo + idx.shape[0])
+                np.testing.assert_array_equal(entry["cpl_pos"][packed], bucket[idx])
+                np.testing.assert_array_equal(entry["cpl_src"][packed], neighbors)
+                np.testing.assert_allclose(
+                    entry["cpl_mat"][packed], coupling, rtol=1e-13, atol=1e-16
+                )
+            assert lo == entry["cpl_offsets"][t + 1]
+        assert entry["cpl_offsets"][-1] == entry["cpl_pos"].shape[0] > 0
 
     def test_cffi_module_cache_is_reused(self):
         if providers.select_provider().name != "cffi":
@@ -346,23 +300,31 @@ class TestGhostRows:
         EngineContract("compiled").check_boundary_inflow()
 
     def test_vacuum_executor_packs_interior_couplings_only(self):
-        """No ghost coupling, no ghost row, ``cpl_offsets`` gone -- and the
-        flux of the parent commit, bit for bit."""
+        """No ghost coupling, no ghost row -- and the flux of the parent
+        commit, bit for bit, from one entry per angle holding no copy of a
+        shared matrix."""
         solver = TransportSolver(SMALL)
         flux = solver.solve().scalar_flux
         executor = solver.executor
         assert not executor.sees_boundary_inflow
         cache = executor.factor_cache
-        for _name, angle, index in cache:
-            asched = executor.schedule.for_angle(angle)
-            bucket = asched.buckets[index]
-            interior_inflow = (asched.classification.orientation[bucket] == -1) & (
-                executor.mesh.face_neighbors[bucket] != BOUNDARY
-            )
-            entry = cache[("compiled", angle, index)]
+        num_angles = executor.quadrature.num_angles
+        assert sorted(cache) == [("compiled", angle) for angle in range(num_angles)]
+        for angle in range(num_angles):
+            orientation = executor.schedule.for_angle(angle).classification.orientation
+            interior_inflow = (orientation == -1) & (executor.mesh.face_neighbors != BOUNDARY)
+            entry = cache[("compiled", angle)]
             assert entry["cpl_pos"].shape[0] == np.count_nonzero(interior_inflow)
             assert (entry["cpl_src"] < executor.mesh.num_cells).all()
-        assert cache.total_bytes == PARENT_VACUUM_CACHE_BYTES - 56 * len(cache)
+        # The parent's 112 per-bucket entries held a copy of their elements'
+        # mass matrices and an rhs scratch; an angle holds its bucket offsets
+        # (twice: elements and couplings) and its elements' sweep order.
+        cells, groups, nodes = executor.mesh.num_cells, executor.num_groups, executor.num_nodes
+        buckets = executor.schedule.total_buckets()
+        parent = PARENT_VACUUM_CACHE_BYTES - 56 * buckets
+        copies = 8 * num_angles * cells * (nodes * nodes + groups * nodes)
+        csr = 8 * (2 * (buckets + num_angles) + num_angles * cells)
+        assert cache.total_bytes == parent - copies + csr
         digest = hashlib.sha256(np.ascontiguousarray(flux).tobytes()).hexdigest()
         assert digest == PARENT_VACUUM_DIGEST
 
@@ -375,17 +337,12 @@ class TestGhostRows:
         table = executor.boundary_table()
         engine = get_engine("compiled")
         for angle in range(executor.quadrature.num_angles):
-            asched = executor.schedule.for_angle(angle)
-            ghosts = []
-            for bucket in asched.buckets:
-                orient = asched.classification.orientation[bucket]
-                entry, _ = engine.build_entry(
-                    executor, executor.quadrature.directions[angle], orient, bucket
-                )
-                assert entry["cpl_pos"].shape[0] == np.count_nonzero(orient == -1)
-                sources = entry["cpl_src"]
-                ghosts.extend((sources[sources >= num_cells] - num_cells).tolist())
-            assert sorted(ghosts) == table.inflow[angle][0].tolist()
+            orientation = executor.schedule.for_angle(angle).classification.orientation
+            entry, _ = engine.build_entry(executor, angle)
+            assert entry["cpl_pos"].shape[0] == np.count_nonzero(orientation == -1)
+            sources = entry["cpl_src"]
+            ghosts = sources[sources >= num_cells] - num_cells
+            assert sorted(ghosts.tolist()) == table.inflow[angle][0].tolist()
 
     def test_untouched_lagged_entries_persist_and_absent_ones_fall_back(self):
         """Lagged traces present on some inflow faces of a bucket and absent

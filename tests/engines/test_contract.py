@@ -32,6 +32,9 @@ class TestEngineContract:
     def test_boundary_inflow(self, contract):
         contract.check_boundary_inflow()
 
+    def test_leakage_oracle(self, contract):
+        contract.check_leakage_oracle()
+
     def test_update_materials_invalidates(self, contract):
         contract.check_update_materials_invalidates()
 

@@ -4,9 +4,11 @@
 what the ``compiled`` engine hangs its ghost rows on, so its indexing must be
 exact for any mesh, halo subset and quadrature: the slot map is a bijection
 onto ``mesh.boundary_faces()``, every angle's inflow slots are exactly the
-boundary faces with orientation -1, and -- being a pure function of mesh,
-halo set and schedule -- building it again, or from two racing threads,
-yields equal arrays.
+boundary faces with orientation -1, every angle's leakage rows are the
+non-halo outflow (and, with an incident flux, inflow) faces in slot order
+with the per-face tally's weights, and -- being a pure function of the
+executor's inputs -- building it again, or from two racing threads, yields
+equal arrays.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ProblemSpec
+from repro.config import BoundaryCondition, ProblemSpec
 from repro.core.solver import TransportSolver
 from repro.core.sweep import BoundaryFaceTable, SweepExecutor
 from repro.mesh.hexmesh import BOUNDARY
 
 
-def _executor_with_halo(template: SweepExecutor, halo_faces: np.ndarray) -> SweepExecutor:
+def _executor_with_halo(
+    template: SweepExecutor, halo_faces: np.ndarray, boundary: BoundaryCondition | None
+) -> SweepExecutor:
     return SweepExecutor(
         mesh=template.mesh,
         factors=template.factors,
@@ -33,6 +37,7 @@ def _executor_with_halo(template: SweepExecutor, halo_faces: np.ndarray) -> Swee
         schedule=template.schedule,
         quadrature=template.quadrature,
         materials=template.materials,
+        boundary=boundary,
         halo_faces=halo_faces,
     )
 
@@ -40,7 +45,10 @@ def _executor_with_halo(template: SweepExecutor, halo_faces: np.ndarray) -> Swee
 def _assert_tables_equal(first: BoundaryFaceTable, second: BoundaryFaceTable) -> None:
     for name in ("faces", "slot", "halo"):
         np.testing.assert_array_equal(getattr(first, name), getattr(second, name), err_msg=name)
-    assert first.domain_faces == second.domain_faces
+    assert len(first.leakage) == len(second.leakage)
+    for mine, theirs in zip(first.leakage, second.leakage):
+        for array, other in zip(mine, theirs):
+            np.testing.assert_array_equal(array, other)
     assert first.halo_outflow == second.halo_outflow
     assert len(first.inflow) == len(second.inflow)
     for (slots, keys), (other_slots, other_keys) in zip(first.inflow, second.inflow):
@@ -54,20 +62,24 @@ def _assert_tables_equal(first: BoundaryFaceTable, second: BoundaryFaceTable) ->
     angles_per_octant=st.integers(1, 3),
     twist=st.floats(min_value=0.0, max_value=0.3),
     halo_share=st.sampled_from((0.0, 0.3, 1.0)),
+    incident=st.sampled_from((0.0, 1.5)),
+    order=st.integers(1, 2),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_boundary_table_indexes_the_boundary_exactly(
-    dims, angles_per_octant, twist, halo_share, seed
+    dims, angles_per_octant, twist, halo_share, incident, order, seed
 ):
     nx, ny, nz = dims
     spec = ProblemSpec(
-        nx=nx, ny=ny, nz=nz, angles_per_octant=angles_per_octant, num_groups=1, max_twist=twist
+        nx=nx, ny=ny, nz=nz, angles_per_octant=angles_per_octant, num_groups=1,
+        max_twist=twist, order=order,
     )
     template = TransportSolver(spec).executor
     mesh = template.mesh
     boundary_faces = mesh.boundary_faces()
     is_halo = np.random.default_rng(seed).random(boundary_faces.shape[0]) < halo_share
-    executor = _executor_with_halo(template, boundary_faces[is_halo])
+    boundary = BoundaryCondition(kind="incident", incident_flux=incident) if incident else None
+    executor = _executor_with_halo(template, boundary_faces[is_halo], boundary)
     assert executor._boundary_table is None  # never built at construction
     table = executor.boundary_table()
     assert executor.boundary_table() is table
@@ -78,11 +90,11 @@ def test_boundary_table_indexes_the_boundary_exactly(
     np.testing.assert_array_equal(table.slot[cells, faces], np.arange(boundary_faces.shape[0]))
     np.testing.assert_array_equal(table.slot >= 0, mesh.face_neighbors == BOUNDARY)
     np.testing.assert_array_equal(table.halo, is_halo)
-    assert table.domain_faces == [tuple(pair) for pair in boundary_faces[~is_halo].tolist()]
 
     # Per angle: inflow slots are exactly the orientation -1 boundary faces,
     # keyed (cell, face, angle); halo outflow exactly the +1 halo faces.
-    assert len(table.inflow) == len(table.halo_outflow) == executor.quadrature.num_angles
+    num_angles = executor.quadrature.num_angles
+    assert len(table.inflow) == len(table.halo_outflow) == len(table.leakage) == num_angles
     for angle, (slots, keys) in enumerate(table.inflow):
         orientation = executor.schedule.for_angle(angle).classification.orientation
         on_boundary = orientation[cells, faces]
@@ -93,9 +105,30 @@ def test_boundary_table_indexes_the_boundary_exactly(
             (int(cells[s]), int(faces[s]), angle) for s in outflow_halo
         ]
 
-    # A pure function of mesh + halo set + schedule: a second executor builds
-    # an equal table, and so do two threads racing on a third.
-    rebuilt, raced = (_executor_with_halo(template, boundary_faces[is_halo]) for _ in range(2))
+        # Leakage rows: the non-halo outflow faces in slot order, each with
+        # the per-face tally's weights; with an incident flux, the non-halo
+        # inflow faces spliced in at their slot positions.
+        leak_cells, weights, inflow_at, inflow_coef = table.leakage[angle]
+        direction = executor.quadrature.directions[angle]
+        per_face = [
+            np.einsum("d,dij->ij", direction, executor.matrices.face_own[cell, face])
+            for cell, face in boundary_faces.tolist()
+        ]
+        outflow = np.nonzero((on_boundary == 1) & ~is_halo)[0]
+        np.testing.assert_array_equal(leak_cells, cells[outflow])
+        assert weights.shape == (outflow.shape[0], executor.num_nodes)
+        for row, s in zip(weights, outflow):
+            np.testing.assert_array_equal(row, per_face[s].sum(axis=0))
+        inflow = np.nonzero((on_boundary == -1) & ~is_halo)[0] if incident else outflow[:0]
+        spliced = np.insert(outflow, inflow_at, inflow)
+        np.testing.assert_array_equal(spliced, np.sort(np.concatenate([outflow, inflow])))
+        assert inflow_coef.tolist() == [per_face[s].sum() for s in inflow]
+
+    # A pure function of the executor's inputs: a second executor builds an
+    # equal table, and so do two threads racing on a third.
+    rebuilt, raced = (
+        _executor_with_halo(template, boundary_faces[is_halo], boundary) for _ in range(2)
+    )
     _assert_tables_equal(table, rebuilt.boundary_table())
     barrier = threading.Barrier(2)
 

@@ -56,32 +56,30 @@ class TestFactorCacheKeying:
         assert len(set(names)) == len(names)
 
     @settings(max_examples=25, deadline=None)
-    @given(**spec_axes, angle=st.integers(min_value=0, max_value=63),
-           bucket=st.integers(min_value=0, max_value=63))
-    def test_keys_stable_under_spec_round_trip(self, angle, bucket, **axes):
-        """The (engine, angle, bucket) key and the campaign run_key derived
-        from a round-tripped spec are identical to the originals."""
+    @given(**spec_axes, angle=st.integers(min_value=0, max_value=63))
+    def test_keys_stable_under_spec_round_trip(self, angle, **axes):
+        """The (engine, angle) key and the campaign run_key derived from a
+        round-tripped spec are identical to the originals."""
         spec = _spec(**axes)
         reloaded = ProblemSpec.from_dict(spec.to_dict())
         assert reloaded == spec
         assert run_key(reloaded) == run_key(spec)
         for engine_name in available_engines():
-            key = (engine_name, angle, bucket)
-            rekey = (engine_name, angle, bucket)
+            key = (engine_name, angle)
+            rekey = (engine_name, angle)
             cache = FactorCache()
             cache[key] = {"token": None}
             assert rekey in cache
 
     @settings(max_examples=25, deadline=None)
-    @given(angle=st.integers(min_value=0, max_value=15),
-           bucket=st.integers(min_value=0, max_value=15))
-    def test_distinct_engine_namespaces_never_collide(self, angle, bucket):
+    @given(angle=st.integers(min_value=0, max_value=15))
+    def test_distinct_engine_namespaces_never_collide(self, angle):
         cache = FactorCache()
         for engine_name in available_engines():
-            cache[(engine_name, angle, bucket)] = {"owner": engine_name}
+            cache[(engine_name, angle)] = {"owner": engine_name}
         assert len(cache) == len(available_engines())
         for engine_name in available_engines():
-            assert cache[(engine_name, angle, bucket)]["owner"] == engine_name
+            assert cache[(engine_name, angle)]["owner"] == engine_name
 
 
 # ------------------------------------------------------------- cost estimate
