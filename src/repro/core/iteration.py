@@ -133,10 +133,9 @@ class IterationController:
         history = IterationHistory()
         timings = AssemblyTimings()
         last_sweep: SweepResult | None = None
-        # Reflective boundaries lag the mirrored boundary traces through the
-        # same BoundaryValues table the block-Jacobi halo swap uses; the
-        # table persists across sweeps (and, when the caller owns it, across
-        # driver iterations).
+        # Reflective boundaries lag the mirrored traces through a
+        # BoundaryValues table that persists across sweeps (and, when the
+        # caller owns it, across driver iterations).
         reflective = getattr(executor, "reflective", None)
         if reflective is not None and boundary_values is None:
             boundary_values = BoundaryValues()

@@ -25,10 +25,11 @@ computed from the octant structure of the quadrature: flipping axis ``a``
 flips bit ``a`` of the octant index while the within-octant index is
 unchanged.
 
-Lagging converges the reflected flux together with the scattering source in
-the same outer fixed-point iteration, and keeps every determinism contract:
-the update is a dict rewrite keyed per ``(cell, face, angle)``, independent
-of thread count, engine and backend.
+Both tables are slot-indexed arrays and the outgoing ``(angle, slot)`` pairs
+are fixed by the geometry, so the first update plans the mirror per normal
+axis and every update is three array copies, whatever the face count.  Each
+ghost is a copy of one outgoing trace, whatever the thread count, engine or
+backend, and converges with the scattering source in the outer iteration.
 """
 
 from __future__ import annotations
@@ -99,43 +100,53 @@ class ReflectiveBoundary:
         The angular quadrature set (must be octant-structured).
     basis:
         The Lagrange basis of the elements.
+    faces:
+        ``(F_b, 2)`` ``(cell, face)`` boundary faces in slot order.
     """
 
-    def __init__(self, quadrature: AngularQuadrature, basis: LagrangeHexBasis):
+    def __init__(self, quadrature: AngularQuadrature, basis: LagrangeHexBasis, faces: np.ndarray):
         self.mirror_angle = mirror_angle_table(quadrature)
         self.node_perm = mirror_node_permutations(basis)
         self.num_angles = quadrature.num_angles
         self.num_nodes = basis.num_nodes
+        self.faces = np.asarray(faces)
+        # Per axis (angles, slots, mirrored angles): built by the first update.
+        self._plan: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
-    def update(
-        self, boundary_values: BoundaryValues, outgoing_halo: dict
-    ) -> BoundaryValues:
+    def update(self, boundary_values: BoundaryValues, outgoing: BoundaryValues) -> BoundaryValues:
         """Fold one sweep's outgoing halo traces into the ghost table.
 
-        Every outgoing ``(cell, face, angle)`` trace becomes the incoming
-        ghost of the mirrored angle on the same face; entries not touched by
-        this sweep keep their previous (lagged) value.
+        Every outgoing ``(angle, slot)`` trace becomes the incoming ghost of
+        the mirrored angle on the same slot; untouched entries keep their
+        lagged value.  The plan is built from the first call's
+        ``outgoing.present``, the executor's static ``halo_outflow``.
         """
-        for (cell, face, angle), psi in outgoing_halo.items():
-            axis = FACE_NORMAL_AXIS[face]
-            mirrored = int(self.mirror_angle[axis, angle])
-            boundary_values.put(cell, face, mirrored, psi[:, self.node_perm[axis]])
+        if self._plan is None:
+            angles, slots = np.nonzero(outgoing.present)
+            axes = np.asarray(FACE_NORMAL_AXIS)[self.faces[slots, 1]]
+            self._plan = []
+            for axis in range(3):
+                on = axes == axis
+                self._plan.append((angles[on], slots[on], self.mirror_angle[axis, angles[on]]))
+        traces = boundary_values.allocate(*outgoing.traces.shape).traces
+        if traces.strides[2] != traces.itemsize:
+            # Stored node-major, as a per-face mirror copy psi[:, perm] is:
+            # the numpy engines' einsum reduces in memory order, so layout
+            # is part of their bits.  Converted once, values kept.
+            boundary_values.traces = np.ascontiguousarray(traces.swapaxes(2, 3)).swapaxes(2, 3)
+        for perm, (angles, slots, mirrored) in zip(self.node_perm, self._plan):
+            boundary_values.traces[mirrored, slots] = outgoing.traces[angles, slots][..., perm]
+            boundary_values.present[mirrored, slots] = True
         return boundary_values
 
-    def seed_flat(
-        self, boundary_faces: np.ndarray, value: float, num_groups: int
-    ) -> BoundaryValues:
-        """Ghost table holding a uniform isotropic trace on every face.
+    def seed_flat(self, value: float, num_groups: int) -> BoundaryValues:
+        """Ghost table holding a uniform isotropic trace on every slot.
 
         Used to start time-dependent solves from an exactly-flat state: a
         spatially-flat isotropic angular flux of ``value`` is a discrete
         fixed point of the reflective sweep only if the very first sweep
-        already sees its own mirror image.  A single ``(G, N)`` array is
-        shared by all entries.
+        already sees its own mirror image.
         """
-        boundary_values = BoundaryValues()
-        trace = np.full((num_groups, self.num_nodes), float(value))
-        for cell, face in np.asarray(boundary_faces)[:, :2].tolist():
-            for angle in range(self.num_angles):
-                boundary_values.values[(int(cell), int(face), int(angle))] = trace
-        return boundary_values
+        shape = (self.num_angles, len(self.faces))
+        traces = np.full(shape + (num_groups, self.num_nodes), float(value))
+        return BoundaryValues(traces, np.ones(shape, dtype=bool))

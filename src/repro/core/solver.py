@@ -35,7 +35,7 @@ from .balance import BalanceReport, particle_balance
 from .flux import AngularFluxBank, node_integration_weights
 from .iteration import IterationController, IterationHistory
 from .reflect import ReflectiveBoundary
-from .sweep import SweepExecutor
+from .sweep import SweepExecutor, boundary_slots
 
 __all__ = ["TransportSolver", "TransportResult"]
 
@@ -184,8 +184,8 @@ class TransportSolver:
         reflective = None
         halo_faces = None
         if spec.boundary.kind == "reflective":
-            reflective = ReflectiveBoundary(self.quadrature, self.ref.basis)
-            halo_faces = self.mesh.boundary_faces()
+            halo_faces, _ = boundary_slots(self.mesh)  # the faces in slot order
+            reflective = ReflectiveBoundary(self.quadrature, self.ref.basis, halo_faces)
         self.executor = SweepExecutor(
             mesh=self.mesh,
             factors=self.factors,

@@ -15,13 +15,13 @@ Boundary handling:
 * rank-boundary inflow faces (present when the mesh is a subdomain of a
   block-Jacobi decomposition) use *lagged* upwind traces supplied through
   :class:`BoundaryValues`, which is exactly the parallel block Jacobi scheme
-  of Section III-A.1.
+  of Section III-A.1, held as ``(A, F_b, G, N)`` arrays by boundary-face slot.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,29 +41,46 @@ from .assembly import AssemblyTimings, ElementMatrices
 from .factor_cache import FactorCache
 from .flux import AngularFluxBank
 
-__all__ = ["BoundaryValues", "BoundaryFaceTable", "SweepResult", "SweepExecutor"]
+__all__ = ["BoundaryValues", "BoundaryFaceTable", "SweepResult", "SweepExecutor", "boundary_slots"]
+
+
+def boundary_slots(mesh: UnstructuredHexMesh) -> tuple[np.ndarray, np.ndarray]:
+    """``(faces, slot)``: ``mesh.boundary_faces()``, face ``faces[s]`` owning
+    slot ``s``, and the ``(E, 6)`` slot of every face (-1 on interior ones)."""
+    faces = mesh.boundary_faces()
+    slot = np.full((mesh.num_cells, 6), -1, dtype=np.int64)
+    slot[faces[:, 0], faces[:, 1]] = np.arange(faces.shape[0])
+    return faces, slot
 
 
 @dataclass
 class BoundaryValues:
-    """Lagged upwind traces for faces whose neighbour lives on another rank.
+    """Lagged upwind traces by boundary-face slot (:func:`boundary_slots`).
 
-    ``values[(cell, face, angle)]`` holds the ``(G, N)`` nodal angular flux of
-    the remote upwind neighbour from the previous block-Jacobi iteration.
-    Faces not present fall back to the domain boundary condition, which also
-    covers the very first iteration (zero initial guess).
+    ``traces[angle, slot]`` is the ``(G, N)`` nodal angular flux of the
+    upwind neighbour across face ``slot`` -- a remote rank's cell from the
+    last block-Jacobi iteration, or a reflective face's mirror image --
+    where ``present[angle, slot]`` is set; absent slots (all of them in the
+    first iteration) fall back to the boundary condition.  ``None`` arrays
+    are an empty table, allocated by the first write.
     """
 
-    values: dict[tuple[int, int, int], np.ndarray] = field(default_factory=dict)
+    traces: np.ndarray | None = None
+    present: np.ndarray | None = None
 
-    def get(self, cell: int, face: int, angle: int) -> np.ndarray | None:
-        return self.values.get((cell, face, angle))
+    def allocate(self, *shape: int) -> BoundaryValues:
+        """Unless allocated, zero ``shape = (A, F_b, G, N)`` traces, none present."""
+        if self.traces is None:
+            self.traces = np.zeros(shape)
+            self.present = np.zeros(shape[:2], dtype=bool)
+        return self
 
-    def put(self, cell: int, face: int, angle: int, trace: np.ndarray) -> None:
-        self.values[(cell, face, angle)] = np.asarray(trace, dtype=float)
+    def get(self, angle: int, slot: int) -> np.ndarray | None:
+        present = self.present is not None and self.present[angle, slot]
+        return self.traces[angle, slot] if present else None
 
     def __len__(self) -> int:
-        return len(self.values)
+        return 0 if self.present is None else int(np.count_nonzero(self.present))
 
 
 @dataclass(frozen=True)
@@ -73,8 +90,9 @@ class BoundaryFaceTable:
     Built from the mesh, the halo set, the schedule, the quadrature, the
     own-face matrices and the boundary condition only (see
     :meth:`SweepExecutor.boundary_table`), so it never changes over an
-    executor's life.  Boundary face ``faces[s]`` owns *slot* ``s``: the
-    per-angle epilogue walks the slots instead of rescanning the mesh, and
+    executor's life.  Boundary face ``faces[s]`` owns *slot* ``s``
+    (:func:`boundary_slots`): the per-angle epilogue walks the slots instead
+    of rescanning the mesh, :class:`BoundaryValues` are indexed by slot, and
     the ``compiled`` engine appends one ghost row per slot to an angle's
     flux array so boundary inflow is read like any interior upwind trace.
 
@@ -93,21 +111,21 @@ class BoundaryFaceTable:
         product with the cell's ``(G, N)`` flux is the face's outflow; then,
         with a nonzero incident flux only, the inflow faces' positions among
         those rows and their ``(Omega . face_own).sum()`` coefficients.
-    inflow:
-        Per angle, ``(slots, keys)``: the slots of the boundary faces with
-        orientation -1 and their ``(cell, face, angle)`` keys into
-        :class:`BoundaryValues`.
     halo_outflow:
-        Per angle, the ``(cell, face, angle)`` keys of the halo faces with
-        orientation +1 -- the traces a sweep hands to the halo exchange.
+        ``(A, F_b)`` mask of the halo slots with orientation +1 per angle:
+        the traces a sweep hands to the halo exchange, and the ``present``
+        mask of every :attr:`SweepResult.outgoing_halo` (shared, read-only).
+    halo_cells:
+        Per angle, ``(slots, cells)`` of those slots: the sweep's one gather
+        ``traces[angle, slots] = psi_angle[cells]``.
     """
 
     faces: np.ndarray
     slot: np.ndarray
     halo: np.ndarray
     leakage: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    inflow: list[tuple[np.ndarray, list[tuple[int, int, int]]]]
-    halo_outflow: list[list[tuple[int, int, int]]]
+    halo_outflow: np.ndarray
+    halo_cells: list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -124,9 +142,9 @@ class SweepResult:
     timings:
         Assemble/solve wall-clock split.
     outgoing_halo:
-        Nodal angular-flux traces of this rank's cells on rank-boundary
-        faces, keyed ``(cell, face, angle)`` -- the data exchanged by the
-        block-Jacobi halo swap.
+        This rank's cells' nodal angular flux on outflow halo faces by slot
+        (``present`` is the table's ``halo_outflow``), which the halo swap
+        exchanges and reflective boundaries mirror; ``None`` without halos.
     angular_flux:
         Optional full angular-flux bank (only when requested).
     """
@@ -134,7 +152,7 @@ class SweepResult:
     scalar_flux: np.ndarray
     leakage: np.ndarray
     timings: AssemblyTimings
-    outgoing_halo: dict[tuple[int, int, int], np.ndarray] = field(default_factory=dict)
+    outgoing_halo: BoundaryValues | None = None
     angular_flux: AngularFluxBank | None = None
 
 
@@ -163,9 +181,9 @@ class SweepExecutor:
         ``"vectorized"``, ``"prefactorized"``, ``"compiled"`` or any
         :func:`repro.engines.register_engine`-ed name).
     halo_faces:
-        Optional ``(n_halo, >=2)`` array whose first two columns are
-        ``(cell, face)`` pairs owned by other ranks; outgoing traces on these
-        faces are collected into :attr:`SweepResult.outgoing_halo`.
+        Optional ``(n_halo, >=2)`` array whose first two columns are the
+        ``(cell, face)`` boundary faces shared with other ranks; outgoing
+        traces on them are collected into :attr:`SweepResult.outgoing_halo`.
     num_threads:
         Number of worker threads (functional parallelism; the performance
         study of the paper is reproduced by :mod:`repro.perfmodel`).  With
@@ -374,12 +392,9 @@ class SweepExecutor:
         """
         table = self._boundary_table
         if table is None:
-            faces = self.mesh.boundary_faces()
+            faces, slot = boundary_slots(self.mesh)
             cells, local = faces[:, 0], faces[:, 1]
-            slot = np.full((self.mesh.num_cells, 6), -1, dtype=np.int64)
-            slot[cells, local] = np.arange(faces.shape[0])
-            pairs = list(zip(cells.tolist(), local.tolist()))
-            halo = np.array([pair in self._halo_set for pair in pairs], dtype=bool)
+            halo = np.array([(c, f) in self._halo_set for c, f in faces.tolist()], dtype=bool)
             incident = self.boundary.incoming_value() != 0.0
             face_own = self.matrices.face_own
 
@@ -388,8 +403,7 @@ class SweepExecutor:
                 return np.einsum("d,kdij->kij", direction, face_own[cells[chosen], local[chosen]])
 
             leakage = []
-            inflow = []
-            halo_outflow = []
+            halo_outflow = np.empty((self.quadrature.num_angles, faces.shape[0]), dtype=bool)
             for angle in range(self.quadrature.num_angles):
                 orientation = self.schedule.for_angle(angle).classification.orientation
                 on_boundary = orientation[cells, local]
@@ -402,18 +416,15 @@ class SweepExecutor:
                     np.searchsorted(outflow, incoming),
                     omega_face_own(direction, incoming).sum(axis=(1, 2)),
                 ))
-                slots = np.nonzero(on_boundary == -1)[0]
-                inflow.append((slots, [(*pairs[s], angle) for s in slots.tolist()]))
-                halo_outflow.append(
-                    [(c, f, angle) for c, f in self._halo_set if orientation[c, f] == 1]
-                )
+                halo_outflow[angle] = (on_boundary == 1) & halo
+            halo_outflow.setflags(write=False)  # every outgoing halo's mask
             table = self._boundary_table = BoundaryFaceTable(
                 faces=faces,
                 slot=slot,
                 halo=halo,
                 leakage=leakage,
-                inflow=inflow,
                 halo_outflow=halo_outflow,
+                halo_cells=[(s, cells[s]) for s in map(np.flatnonzero, halo_outflow)],
             )
         return table
 
@@ -489,6 +500,11 @@ class SweepExecutor:
             else None
         )
 
+        outgoing_halo = None
+        if self._halo_set:
+            outflow = self.boundary_table().halo_outflow
+            outgoing_halo = BoundaryValues(np.zeros(outflow.shape + expected[1:]), outflow)
+
         incident = self.boundary.incoming_value()
         octants = self.quadrature.octant_order()
 
@@ -506,26 +522,24 @@ class SweepExecutor:
                 self._octant_pool.submit(
                     self._sweep_angles,
                     octant_angles, total_source, boundary_values, incident, bank,
-                    angular_source,
+                    outgoing_halo, angular_source,
                 )
                 for octant_angles in octants
             ]
             scalar = np.zeros(expected, dtype=float)
             leakage = np.zeros(num_groups, dtype=float)
             timings = AssemblyTimings()
-            outgoing_halo: dict[tuple[int, int, int], np.ndarray] = {}
             for future in futures:
-                part_scalar, part_leakage, part_halo, part_timings = future.result()
+                part_scalar, part_leakage, part_timings = future.result()
                 scalar += part_scalar
                 leakage += part_leakage
-                outgoing_halo.update(part_halo)
                 timings = timings.merge(part_timings)
         else:
             # One partial over every angle, octant by octant: the serial
             # reduction is angle by angle, not per-octant partial sums.
-            scalar, leakage, outgoing_halo, timings = self._sweep_angles(
+            scalar, leakage, timings = self._sweep_angles(
                 np.concatenate(octants), total_source, boundary_values, incident, bank,
-                angular_source,
+                outgoing_halo, angular_source,
             )
 
         return SweepResult(
@@ -544,19 +558,19 @@ class SweepExecutor:
         boundary_values: BoundaryValues | None,
         incident: float,
         bank: AngularFluxBank | None,
+        outgoing_halo: BoundaryValues | None,
         angular_source: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, dict, AssemblyTimings]:
+    ) -> tuple[np.ndarray, np.ndarray, AssemblyTimings]:
         """Sweep ``angles`` in order and return their partial reductions.
 
         The whole quadrature on the serial path, one octant on an octant
         worker thread: every accumulator is local to the call and the
-        angular-flux bank slots of different angles are disjoint, so
-        concurrent octants never write the same memory.
+        angular-flux bank and outgoing-halo entries of different angles are
+        disjoint, so concurrent octants never write the same memory.
         """
         timings = AssemblyTimings()
         scalar = np.zeros((self.mesh.num_cells, self.num_groups, self.num_nodes), dtype=float)
         leakage = np.zeros(self.num_groups, dtype=float)
-        outgoing_halo: dict[tuple[int, int, int], np.ndarray] = {}
         for angle in angles.tolist():
             source = (
                 total_source if angular_source is None else total_source + angular_source[angle]
@@ -567,10 +581,12 @@ class SweepExecutor:
             weight = self.quadrature.weights[angle]
             scalar += weight * psi_angle
             leakage += weight * self._boundary_leakage(angle, psi_angle, incident)
-            self._collect_halo(angle, psi_angle, outgoing_halo)
+            if outgoing_halo is not None:
+                slots, cells = self.boundary_table().halo_cells[angle]
+                outgoing_halo.traces[angle, slots] = psi_angle[cells]
             if bank is not None:
                 bank.psi[:, angle] = psi_angle
-        return scalar, leakage, outgoing_halo, timings
+        return scalar, leakage, timings
 
     # ------------------------------------------------------------ diagnostics
     def _boundary_leakage(self, angle: int, psi_angle: np.ndarray, incident: float) -> np.ndarray:
@@ -590,14 +606,3 @@ class SweepExecutor:
         # its rows (an axis-0 sum turns pairwise when G == 1).
         rows = np.concatenate([np.zeros((1, self.num_groups)), rows])
         return np.add.accumulate(rows, axis=0)[-1]
-
-    def _collect_halo(
-        self,
-        angle: int,
-        psi_angle: np.ndarray,
-        outgoing_halo: dict[tuple[int, int, int], np.ndarray],
-    ) -> None:
-        if not self._halo_set:
-            return
-        for key in self.boundary_table().halo_outflow[angle]:
-            outgoing_halo[key] = psi_angle[key[0]].copy()

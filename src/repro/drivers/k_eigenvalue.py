@@ -35,7 +35,6 @@ from ..core.assembly import AssemblyTimings
 from ..core.balance import particle_balance
 from ..core.iteration import IterationController, IterationHistory
 from ..core.solver import TransportSolver
-from ..core.sweep import BoundaryValues
 from ..materials.source_terms import FixedSource, uniform_source
 from ..telemetry import active, phase
 from .base import (
@@ -127,9 +126,7 @@ def k_eigenvalue_driver(
     if executor.reflective is not None:
         # Seed the lagged ghost table with the flat initial iterate so a
         # spatially-flat problem stays exactly flat from the first sweep.
-        boundary_values = executor.reflective.seed_flat(
-            solver.mesh.boundary_faces(), guess / prod, solver.materials.num_groups
-        )
+        boundary_values = executor.reflective.seed_flat(guess / prod, solver.materials.num_groups)
 
     k = 1.0
     k_history: list[float] = []

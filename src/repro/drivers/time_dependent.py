@@ -120,9 +120,7 @@ def time_dependent_driver(
     if executor.reflective is not None:
         # A flat initial state is a fixed point of the reflected sweep only
         # if the first sweep already sees its own mirror trace.
-        boundary_values = executor.reflective.seed_flat(
-            solver.mesh.boundary_faces(), spec.initial_flux_value, shape[1]
-        )
+        boundary_values = executor.reflective.seed_flat(spec.initial_flux_value, shape[1])
 
     times: list[float] = []
     step_mean_flux: list[list[float]] = []

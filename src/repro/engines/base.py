@@ -38,7 +38,7 @@ the cache is cleared.
 Boundary inflow
 ---------------
 What flows in through a boundary face is fixed per sweep: the lagged trace
-``boundary_values`` holds for ``(cell, face, angle)``, otherwise the
+``boundary_values`` holds for ``(angle, slot)`` of the face, otherwise the
 ``incident`` value.  Lagged traces belong to the executor's declared
 ``halo_faces`` (rank interfaces; every boundary face of a reflective
 problem): :attr:`SweepExecutor.sees_boundary_inflow` -- nonzero incident
@@ -48,7 +48,7 @@ on it (``compiled`` packs ghost-row couplings only then).  Traces on an
 executor built without halo faces are unsupported: ``compiled`` raises a
 ``ValueError`` naming ``halo_faces`` rather than dropping them silently.
 :meth:`SweepExecutor.boundary_table` is the static index of boundary faces
-(slots, halo mask, per-angle inflow keys and leakage rows) shared by engines
+(slots, halo mask, per-angle halo outflow and leakage rows) shared by engines
 and epilogue.
 """
 

@@ -187,24 +187,17 @@ def assemble_bucket_rhs(
         if not np.any(domain):
             continue
         idx = np.nonzero(domain)[0]
-        lagged_local: list[int] = []
-        lagged_traces: list[np.ndarray] = []
-        incident_local: list[int] = []
-        for k in idx.tolist():
-            element = int(bucket[k])
-            lagged = boundary_values.get(element, face, angle) if have_lagged else None
-            if lagged is not None:
-                lagged_local.append(k)
-                lagged_traces.append(lagged)
-            elif incident != 0.0:
-                incident_local.append(k)
-        if lagged_local:
-            sel = np.asarray(lagged_local, dtype=np.int64)
+        lagged = np.zeros(idx.shape, dtype=bool)
+        if have_lagged:
+            slots = executor.boundary_table().slot[bucket[idx], face]
+            lagged = boundary_values.present[angle, slots]
+        if lagged.any():
+            sel = idx[lagged]
             coupling = _omega_dot(direction, matrices.face_neighbor[bucket[sel], face])
-            traces = np.stack(lagged_traces, axis=0)  # (K, G, N)
+            traces = boundary_values.traces[angle, slots[lagged]]  # (K, G, N)
             b[sel] -= np.einsum("kgj,kij->kgi", traces, coupling, optimize=True)
-        if incident_local:
-            sel = np.asarray(incident_local, dtype=np.int64)
+        sel = idx[~lagged]
+        if incident != 0.0 and sel.size:
             coupling = _omega_dot(direction, matrices.face_own[bucket[sel], face])
             # Incident flux is constant over the face: psi = incident.
             b[sel] -= incident * coupling.sum(axis=2)[:, None, :]

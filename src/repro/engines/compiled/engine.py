@@ -33,7 +33,8 @@ inflow (:attr:`SweepExecutor.sees_boundary_inflow`) the angle's array holds
 one *ghost row* per boundary face behind its ``E`` element rows (the slots
 of the executor's :class:`~repro.core.sweep.BoundaryFaceTable`):
 ``build_entry`` points the coupling of every boundary inflow face at its
-row and ``angle_flux`` fills the rows before the angle's first bucket.  The
+row and ``angle_flux`` fills the rows before the angle's first bucket: the
+incident value, then one masked copy of the lagged traces by slot.  The
 kernels cannot tell a ghost row from a neighbour, so no sweep leaves them;
 a vacuum single-rank executor packs no ghost couplings and has no rows.
 
@@ -153,12 +154,9 @@ class CompiledSweepEngine(BatchedSweepEngine):
         if incident != 0.0:
             psi_angle[num_cells:] = incident
         if have_lagged:
-            slots, keys = table.inflow[angle]
-            lagged = boundary_values.values.get
-            for slot, key in zip(slots.tolist(), keys):
-                trace = lagged(key)
-                if trace is not None:
-                    psi_angle[num_cells + slot] = trace
+            # One masked copy of the present slots (only inflow ones are read).
+            present = boundary_values.present[angle, :, None, None]
+            np.copyto(psi_angle[num_cells:], boundary_values.traces[angle], where=present)
         return psi_angle
 
     def solve_buckets(

@@ -38,6 +38,8 @@ class ReferenceSweepEngine:
         psi_angle = np.zeros(
             (mesh.num_cells, executor.num_groups, executor.num_nodes), dtype=float
         )
+        have_lagged = boundary_values is not None and len(boundary_values) > 0
+        slot = executor.boundary_table().slot if have_lagged else None
 
         def process_element(element: int) -> None:
             t0 = time.perf_counter()
@@ -48,11 +50,7 @@ class ReferenceSweepEngine:
                 if neighbor != BOUNDARY:
                     upwind[face] = psi_angle[neighbor]
                     continue
-                lagged = (
-                    boundary_values.get(element, face, angle)
-                    if boundary_values is not None
-                    else None
-                )
+                lagged = boundary_values.get(angle, slot[element, face]) if have_lagged else None
                 if lagged is not None:
                     upwind[face] = lagged
                 elif incident != 0.0:

@@ -11,8 +11,8 @@ is an in-process simulation:
 
 * :mod:`repro.parallel.comm` -- a deterministic, mpi4py-flavoured simulated
   communicator (ranks, tagged point-to-point messages, reductions).
-* :mod:`repro.parallel.halo` -- packing/unpacking of outgoing face traces
-  into per-neighbour messages and back into :class:`BoundaryValues`.
+* :mod:`repro.parallel.halo` -- one ``(K, G, N)`` gather of outgoing face
+  traces per neighbour and a scatter back into :class:`BoundaryValues` slots.
 * :mod:`repro.parallel.block_jacobi` -- the multi-rank driver that reproduces
   the convergence/behaviour of the paper's global schedule.
 """

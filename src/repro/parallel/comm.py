@@ -23,9 +23,9 @@ __all__ = ["SimCommWorld", "SimComm"]
 def _payload_nbytes(payload: Any) -> int:
     """Array bytes carried by a message payload (arrays, or containers of them).
 
-    Halo-exchange messages are dicts of ``(G, N)`` traces, so the byte
-    accounting must recurse into containers to report meaningful traffic
-    statistics.
+    Halo-exchange messages are ``(keys, traces)`` tuples, so the byte
+    accounting recurses into containers; the keys object (a
+    :class:`~repro.parallel.halo.HaloRows`) is not an array: it counts 0.
     """
     if isinstance(payload, np.ndarray):
         return payload.nbytes

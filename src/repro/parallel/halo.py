@@ -6,26 +6,39 @@ the outgoing data between processor domains."  (Section III-A.1.)
 
 Each rank's sweep produces, for every rank-boundary face it owns and every
 angle for which that face is an *outflow* face, the nodal angular flux of the
-owning element.  The exchanger packs these traces into one message per
-neighbouring rank, ships them through the simulated communicator, and unpacks
-the received traces into the :class:`BoundaryValues` container the next
-sweep's inflow faces read from.
+owning element, by slot.  The exchanger gathers one ``(K, G, N)`` array per
+neighbouring rank, ships it through the simulated communicator, and scatters
+the rows into the :class:`BoundaryValues` slots the next sweep reads.  The
+``(angle, slot)`` pairs are fixed by the geometry, so the first exchange
+builds each message's receiver-side keys (:class:`HaloRows`) once; they
+travel by reference, uncounted: ``bytes_sent`` counts the traces only.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.sweep import BoundaryValues
+from ..core.sweep import BoundaryValues, boundary_slots
 from ..mesh.partition import Subdomain
 from .comm import SimComm
 
-__all__ = ["HaloExchanger"]
+__all__ = ["HaloExchanger", "HaloRows"]
 
 #: Message tag used for halo traffic.
 HALO_TAG = 71
+
+
+@dataclass(frozen=True, eq=False)
+class HaloRows:
+    """Row ``k`` of a halo message is ordinate ``angles[k]``'s trace on the
+    receiver's face ``faces[k]`` of its cell ``cells[k]``."""
+
+    num_angles: int
+    angles: np.ndarray
+    cells: np.ndarray
+    faces: np.ndarray
 
 
 class HaloExchanger:
@@ -42,39 +55,36 @@ class HaloExchanger:
     def __init__(self, subdomain: Subdomain, comm: SimComm):
         self.subdomain = subdomain
         self.comm = comm
-        # Map (remote_rank) -> list of (local_cell, face, remote_local_cell)
-        self._by_partner: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        for local_cell, face, remote_rank, remote_cell in subdomain.halo_faces.tolist():
-            self._by_partner[int(remote_rank)].append(
-                (int(local_cell), int(face), int(remote_cell))
-            )
+        # remote_rank -> (n, 4) rows (local_cell, face, remote_rank, remote_cell)
+        halo = np.asarray(subdomain.halo_faces, dtype=np.int64)
+        self._by_partner = {int(p): halo[halo[:, 2] == p] for p in np.unique(halo[:, 2])}
+        self._faces, self._slot = boundary_slots(subdomain.mesh)
+        # Per partner (angles, local slots, HaloRows), built by the first post.
+        self._send: dict[int, tuple[np.ndarray, np.ndarray, HaloRows]] | None = None
 
     @property
     def partners(self) -> list[int]:
         return sorted(self._by_partner)
 
     # ------------------------------------------------------------------ send
-    def post_outgoing(self, outgoing: dict[tuple[int, int, int], np.ndarray]) -> int:
+    def post_outgoing(self, outgoing: BoundaryValues | None) -> int:
         """Send this rank's outgoing traces to each neighbouring rank.
 
-        ``outgoing`` is the :attr:`SweepResult.outgoing_halo` mapping keyed by
-        ``(local_cell, face, angle)``.  Returns the number of messages posted.
+        ``outgoing`` is the sweep's :attr:`SweepResult.outgoing_halo`, whose
+        ``present`` is the executor's static ``halo_outflow`` on every call.
+        Returns the number of messages posted.
         """
-        posted = 0
-        for partner, faces in self._by_partner.items():
-            message: dict[tuple[int, int, int], np.ndarray] = {}
-            face_set = {(cell, face) for cell, face, _remote in faces}
-            for (cell, face, angle), trace in outgoing.items():
-                if (cell, face) in face_set:
-                    # Key by *global-ish* coordinates the receiver understands:
-                    # its own local cell id and the face seen from its side.
-                    remote_cell = next(
-                        rc for c, f, rc in faces if c == cell and f == face
-                    )
-                    message[(remote_cell, face ^ 1, angle)] = trace
-            self.comm.send(message, dest=partner, tag=HALO_TAG)
-            posted += 1
-        return posted
+        if self._send is None:
+            self._send = {}
+            for partner, faces in self._by_partner.items():
+                local = self._slot[faces[:, 0], faces[:, 1]]
+                angles, k = np.nonzero(outgoing.present[:, local])
+                # The receiver sees the face from its side: face ^ 1.
+                rows = HaloRows(outgoing.present.shape[0], angles, faces[k, 3], faces[k, 1] ^ 1)
+                self._send[partner] = (angles, local[k], rows)
+        for partner, (angles, slots, rows) in self._send.items():
+            self.comm.send((rows, outgoing.traces[angles, slots]), dest=partner, tag=HALO_TAG)
+        return len(self._send)
 
     # --------------------------------------------------------------- receive
     def collect_incoming(self, boundary_values: BoundaryValues | None = None) -> BoundaryValues:
@@ -82,9 +92,11 @@ class HaloExchanger:
         if boundary_values is None:
             boundary_values = BoundaryValues()
         for partner in self.partners:
-            message = self.comm.recv(source=partner, tag=HALO_TAG)
-            for (cell, face, angle), trace in message.items():
-                boundary_values.put(cell, face, angle, trace)
+            rows, traces = self.comm.recv(source=partner, tag=HALO_TAG)
+            boundary_values.allocate(rows.num_angles, len(self._faces), *traces.shape[1:])
+            slots = self._slot[rows.cells, rows.faces]
+            boundary_values.traces[rows.angles, slots] = traces
+            boundary_values.present[rows.angles, slots] = True
         return boundary_values
 
     # ------------------------------------------------------------ diagnostics

@@ -117,23 +117,32 @@ class TestSweepExecutor:
         )
         source = np.zeros((27, 1, 8))
         empty = executor.sweep(source, boundary_values=BoundaryValues())
-        bv = BoundaryValues()
-        for angle in range(small_quadrature.num_angles):
-            bv.put(0, 0, angle, np.full((1, 8), 3.0))
+        table = executor.boundary_table()
+        bv = BoundaryValues().allocate(small_quadrature.num_angles, len(table.faces), 1, 8)
+        slot = table.slot[0, 0]
+        bv.traces[:, slot] = 3.0
+        bv.present[:, slot] = True
         lagged = executor.sweep(source, boundary_values=bv)
         assert lagged.scalar_flux.sum() > empty.scalar_flux.sum()
 
     def test_outgoing_halo_collected(self, small_mesh, small_quadrature, small_materials):
         halo = np.array([[26, 1, 1, 0], [26, 3, 1, 1]])
         executor, _, _ = make_executor(
-            small_mesh, 1, small_quadrature, small_materials, halo_faces=halo
+            small_mesh, 1, small_quadrature, small_materials, halo_faces=halo,
+            store_angular_flux=True,
         )
         source = np.ones((27, 3, 8))
         result = executor.sweep(source)
-        assert result.outgoing_halo
-        for (cell, face, _angle), trace in result.outgoing_halo.items():
-            assert (cell, face) in {(26, 1), (26, 3)}
-            assert trace.shape == (3, 8)
+        outgoing = result.outgoing_halo
+        faces = executor.boundary_table().faces
+        assert outgoing.traces.shape == (small_quadrature.num_angles, len(faces), 3, 8)
+        angles, slots = np.nonzero(outgoing.present)
+        assert angles.size
+        assert {tuple(pair) for pair in faces[slots].tolist()} == {(26, 1), (26, 3)}
+        # Absent slots hold nothing; present ones the owning cell's flux.
+        assert not outgoing.traces[~outgoing.present].any()
+        psi = result.angular_flux.psi
+        np.testing.assert_array_equal(outgoing.traces[angles, slots], psi[faces[slots, 0], angles])
 
     def test_store_angular_flux(self, small_mesh, small_quadrature, small_materials):
         executor, _, _ = make_executor(

@@ -21,7 +21,7 @@ or a third-party plugin -- must honour the same behavioural contract:
   :func:`reference_leakage` bit for bit: vacuum, incident, block-Jacobi
   subdomain and reflective, orders 1 and 2, serial and octant-parallel;
 * **one epilogue** -- the serial and the octant-parallel sweep weight, bank
-  and halo-collect every angle identically: same ``outgoing_halo`` keys and
+  and halo-collect every angle identically: same ``outgoing_halo`` slots and
   traces, same angular-flux bank, bit for bit;
 * **determinism** -- octant-parallel execution is bit-for-bit identical
   across thread counts, including under a factor-cache budget;
@@ -166,13 +166,16 @@ class EngineContract:
         source = 1.0 + rng.random(shape)
         lagged = BoundaryValues()
         if scenario == "lagged":
-            # A trace on every other inflow halo face: within one bucket some
+            # A trace on every other inflow halo slot: within one bucket some
             # faces read their lagged value, the rest fall back to incident.
+            table = executor.boundary_table()
+            lagged.allocate(executor.quadrature.num_angles, len(table.faces), *shape[1:])
             for angle in range(executor.quadrature.num_angles):
                 orientation = executor.schedule.for_angle(angle).classification.orientation
-                inflow = [pair for pair in sorted(executor._halo_set) if orientation[pair] == -1]
-                for cell, face in inflow[angle % 2 :: 2]:
-                    lagged.put(cell, face, angle, 1.0 + rng.random(shape[1:]))
+                inflow = np.flatnonzero(table.halo & (orientation[tuple(table.faces.T)] == -1))
+                for slot in inflow[angle % 2 :: 2].tolist():
+                    lagged.traces[angle, slot] = 1.0 + rng.random(shape[1:])
+                    lagged.present[angle, slot] = True
             assert len(lagged) > 0
         result = executor.sweep(source, lagged)
         if scenario == "reflective":
@@ -205,10 +208,12 @@ class EngineContract:
                 _, serial = self._boundary_inflow_sweep(spec, scenario)
                 close(serial.scalar_flux, want.scalar_flux, f"{what} flux")
                 close(serial.leakage, want.leakage, f"{what} leakage")
-                assert set(serial.outgoing_halo) == set(want.outgoing_halo), what
-                assert serial.outgoing_halo or scenario == "incident", what
-                for key, trace in want.outgoing_halo.items():
-                    close(serial.outgoing_halo[key], trace, f"{what} halo trace {key}")
+                halo, want_halo = serial.outgoing_halo, want.outgoing_halo
+                assert (halo is None) == (want_halo is None) == (scenario == "incident"), what
+                if halo is not None:
+                    assert np.array_equal(halo.present, want_halo.present), what
+                    for key in zip(*np.nonzero(want_halo.present)):
+                        close(halo.traces[key], want_halo.traces[key], f"{what} halo {key}")
 
                 one, two = (
                     self._boundary_inflow_sweep(spec, scenario, octant_threads=threads)[1]
@@ -218,9 +223,11 @@ class EngineContract:
                 assert np.array_equal(one.leakage, two.leakage), what
                 close(one.scalar_flux, serial.scalar_flux, f"{what} octant flux")
                 for octant in (one, two):
-                    assert set(octant.outgoing_halo) == set(serial.outgoing_halo), what
-                    for key, trace in serial.outgoing_halo.items():
-                        assert np.array_equal(octant.outgoing_halo[key], trace), (what, key)
+                    if halo is None:
+                        assert octant.outgoing_halo is None, what
+                        continue
+                    assert np.array_equal(octant.outgoing_halo.present, halo.present), what
+                    assert np.array_equal(octant.outgoing_halo.traces, halo.traces), what
 
     def check_leakage_oracle(self) -> None:
         """``SweepResult.leakage`` is the per-face tally's, bit for bit.
@@ -342,19 +349,21 @@ class EngineContract:
         executor.octant_parallel, executor.num_threads = True, 2
         octant = executor.sweep(source)
 
-        expected_keys = {
-            (cell, face, angle)
-            for cell, face in executor._halo_set
+        faces = executor.boundary_table().faces
+        halo = np.array([pair in executor._halo_set for pair in map(tuple, faces.tolist())])
+        orientations = (
+            executor.schedule.for_angle(angle).classification.orientation
             for angle in range(executor.quadrature.num_angles)
-            if executor.schedule.for_angle(angle).classification.orientation[cell, face] == 1
-        }
-        assert expected_keys, "contract spec produced no outflow halo faces"
+        )
+        expected = np.array([halo & (orient[tuple(faces.T)] == 1) for orient in orientations])
+        assert expected.any(), "contract spec produced no outflow halo faces"
         for result in (serial, octant):
-            assert set(result.outgoing_halo) == expected_keys, self.engine
-        for key, trace in serial.outgoing_halo.items():
-            assert np.array_equal(trace, octant.outgoing_halo[key]), (self.engine, key)
-            cell, _face, angle = key
-            assert np.array_equal(trace, serial.angular_flux.psi[cell, angle])
+            assert np.array_equal(result.outgoing_halo.present, expected), self.engine
+        traces = serial.outgoing_halo.traces
+        assert np.array_equal(traces, octant.outgoing_halo.traces), self.engine
+        angles, slots = np.nonzero(expected)
+        psi = serial.angular_flux.psi
+        assert np.array_equal(traces[angles, slots], psi[faces[slots, 0], angles])
         assert np.array_equal(serial.angular_flux.psi, octant.angular_flux.psi), self.engine
         banked = serial.angular_flux.scalar_flux(executor.quadrature.weights)
         for result in (serial, octant):

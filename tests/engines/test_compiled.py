@@ -334,7 +334,7 @@ class TestGhostRows:
         ).executor
         assert executor.sees_boundary_inflow
         num_cells = executor.mesh.num_cells
-        table = executor.boundary_table()
+        faces = executor.boundary_table().faces
         engine = get_engine("compiled")
         for angle in range(executor.quadrature.num_angles):
             orientation = executor.schedule.for_angle(angle).classification.orientation
@@ -342,7 +342,8 @@ class TestGhostRows:
             assert entry["cpl_pos"].shape[0] == np.count_nonzero(orientation == -1)
             sources = entry["cpl_src"]
             ghosts = sources[sources >= num_cells] - num_cells
-            assert sorted(ghosts.tolist()) == table.inflow[angle][0].tolist()
+            inflow_slots = np.flatnonzero(orientation[tuple(faces.T)] == -1)
+            assert sorted(ghosts.tolist()) == inflow_slots.tolist()
 
     def test_untouched_lagged_entries_persist_and_absent_ones_fall_back(self):
         """Lagged traces present on some inflow faces of a bucket and absent
@@ -355,17 +356,21 @@ class TestGhostRows:
         for engine in ("compiled", "reference"):
             executor = BlockJacobiDriver(spec.with_(engine=engine)).executors[0]
             table = executor.boundary_table()
+            num_angles = executor.quadrature.num_angles
+
+            def halo_inflow(angle):
+                orientation = executor.schedule.for_angle(angle).classification.orientation
+                return np.flatnonzero(table.halo & (orientation[tuple(table.faces.T)] == -1))
+
             # The first angle flowing in through the rank interface.
-            halo_inflow = next(
-                on_halo
-                for slots, keys in table.inflow
-                if len(on_halo := [k for s, k in zip(slots, keys) if table.halo[s]]) >= 2
-            )
+            angle = next(a for a in range(num_angles) if halo_inflow(a).size >= 2)
+            slot = halo_inflow(angle)[0]
             rng = np.random.default_rng(3)
             shape = (executor.mesh.num_cells, executor.num_groups, executor.num_nodes)
             source = 1.0 + rng.random(shape)
-            lagged = BoundaryValues()
-            lagged.put(*halo_inflow[0], 2.0 + rng.random(shape[1:]))  # the rest: absent
+            lagged = BoundaryValues().allocate(num_angles, len(table.faces), *shape[1:])
+            lagged.traces[angle, slot] = 2.0 + rng.random(shape[1:])
+            lagged.present[angle, slot] = True  # the rest: absent
             first = executor.sweep(source, lagged).scalar_flux
             again = executor.sweep(source, lagged).scalar_flux  # entry untouched
             np.testing.assert_array_equal(first, again)
@@ -380,9 +385,11 @@ class TestGhostRows:
         built with none has no ghost rows to put them in and says so."""
         executor = TransportSolver(SMALL).executor
         source = np.ones((executor.mesh.num_cells, executor.num_groups, executor.num_nodes))
-        cell, face = executor.mesh.boundary_faces()[0]
-        lagged = BoundaryValues()
-        lagged.put(int(cell), int(face), 0, np.ones((executor.num_groups, executor.num_nodes)))
+        lagged = BoundaryValues().allocate(
+            executor.quadrature.num_angles, len(executor.mesh.boundary_faces()),
+            executor.num_groups, executor.num_nodes,
+        )
+        lagged.traces[0, 0], lagged.present[0, 0] = 1.0, True
         with pytest.raises(ValueError, match="halo_faces"):
             executor.sweep(source, lagged)
         executor.sweep(source, BoundaryValues())  # empty: nothing to refuse

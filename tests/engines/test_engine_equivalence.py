@@ -16,7 +16,7 @@ import repro
 from repro.angular.quadrature import snap_dummy_quadrature
 from repro.config import BoundaryCondition, ProblemSpec
 from repro.core.assembly import ElementMatrices
-from repro.core.sweep import BoundaryValues, SweepExecutor
+from repro.core.sweep import BoundaryValues, SweepExecutor, boundary_slots
 from repro.fem.element import HexElementFactors
 from repro.fem.reference import ReferenceElement
 from repro.materials.library import snap_option1_library
@@ -72,17 +72,20 @@ class TestSweepEquivalence:
         # Mark two faces as rank boundaries and feed lagged traces, exercising
         # the block-Jacobi inflow path of both engines directly.
         halo = np.array([[0, 0, 1, 0], [1, 2, 2, 1]])
-        bv = BoundaryValues()
+        faces, slot = boundary_slots(build_snap_mesh(StructuredGridSpec(3, 3, 3)))
+        bv = BoundaryValues().allocate(16, len(faces), 2, 8)
         rng = np.random.default_rng(7)
         for angle in range(16):
-            bv.put(0, 0, angle, rng.uniform(0.1, 1.0, size=(2, 8)))
-            bv.put(1, 2, angle, rng.uniform(0.1, 1.0, size=(2, 8)))
+            for cell, face in ((0, 0), (1, 2)):
+                bv.traces[angle, slot[cell, face]] = rng.uniform(0.1, 1.0, size=(2, 8))
+                bv.present[angle, slot[cell, face]] = True
         ref, vec = _sweep_pair(1, VACUUM, "ge", engine=engine,
                                halo_faces=halo, boundary_values=bv)
         np.testing.assert_allclose(vec.scalar_flux, ref.scalar_flux, rtol=TOL, atol=TOL)
-        assert set(vec.outgoing_halo) == set(ref.outgoing_halo)
-        for key, trace in ref.outgoing_halo.items():
-            np.testing.assert_allclose(vec.outgoing_halo[key], trace, rtol=TOL, atol=TOL)
+        assert np.array_equal(vec.outgoing_halo.present, ref.outgoing_halo.present)
+        np.testing.assert_allclose(
+            vec.outgoing_halo.traces, ref.outgoing_halo.traces, rtol=TOL, atol=TOL
+        )
 
 
 class TestFullSolveEquivalence:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.config import ProblemSpec
-from repro.core.sweep import BoundaryValues
+from repro.core.sweep import BoundaryValues, boundary_slots
 from repro.core.solver import TransportSolver
+from repro.engines import available_engines
 from repro.mesh.builder import StructuredGridSpec, build_snap_mesh
 from repro.mesh.partition import partition_kba
 from repro.parallel.block_jacobi import BlockJacobiDriver
@@ -67,16 +69,23 @@ class TestHaloExchanger:
         ex1 = HaloExchanger(decomp.subdomains[1], world.comm(1))
         assert ex0.partners == [1] and ex1.partners == [0]
 
-        # Rank 0's only cell sends its +x trace for angle 3.
+        # Each rank's only cell has six boundary-face slots (faces 0..5).
+        slots = [boundary_slots(sub.mesh)[1] for sub in decomp.subdomains]
+        outgoing = [BoundaryValues().allocate(8, 6, 1, 8) for _ in range(2)]
+        # Rank 0's only cell sends its +x trace for angle 3; rank 1 nothing.
         trace = np.arange(8, dtype=float).reshape(1, 8)
-        ex0.post_outgoing({(0, 1, 3): trace})
-        ex1.post_outgoing({})
+        outgoing[0].traces[3, slots[0][0, 1]] = trace
+        outgoing[0].present[3, slots[0][0, 1]] = True
+        assert ex0.post_outgoing(outgoing[0]) == ex1.post_outgoing(outgoing[1]) == 1
         incoming1 = ex1.collect_incoming()
         incoming0 = ex0.collect_incoming()
-        # Rank 1 sees the trace keyed by its own local cell and the face as
-        # seen from its side (-x), same angle.
-        assert np.allclose(incoming1.get(0, 0, 3), trace)
+        # Rank 1 sees the trace in the slot of its own local cell and the
+        # face as seen from its side (-x), same angle; nothing else.
+        np.testing.assert_array_equal(incoming1.get(3, slots[1][0, 0]), trace)
+        assert len(incoming1) == 1
         assert len(incoming0) == 0
+        # One (K, G, N) message per partner: the bytes are the traces'.
+        assert world.message_count == 2 and world.bytes_sent == trace.nbytes
 
     def test_halo_volume_estimate(self):
         mesh = build_snap_mesh(StructuredGridSpec(4, 4, 2))
@@ -87,10 +96,14 @@ class TestHaloExchanger:
 
     def test_boundary_values_container(self):
         bv = BoundaryValues()
-        assert bv.get(0, 0, 0) is None
-        bv.put(1, 2, 3, np.ones((2, 8)))
-        assert bv.get(1, 2, 3).shape == (2, 8)
+        assert bv.get(0, 0) is None and len(bv) == 0  # empty: nothing allocated
+        assert bv.allocate(4, 3, 2, 8) is bv
+        assert bv.traces.shape == (4, 3, 2, 8) and bv.get(3, 2) is None
+        bv.traces[3, 2], bv.present[3, 2] = 1.0, True
+        assert bv.get(3, 2).shape == (2, 8)
         assert len(bv) == 1
+        traces = bv.traces
+        assert bv.allocate(4, 3, 2, 8).traces is traces  # allocated once
 
 
 class TestBlockJacobi:
@@ -135,3 +148,25 @@ class TestBlockJacobi:
     def test_per_rank_cells_partition_mesh(self, base_spec):
         result = BlockJacobiDriver(base_spec.with_(npex=2, npey=2, num_inners=1)).solve()
         assert sum(result.per_rank_cells) == base_spec.num_cells
+
+
+@pytest.mark.skipif(
+    "compiled" not in available_engines(), reason="no JIT provider (numba/cffi) available"
+)
+class TestHaloTrafficCounts:
+    """Exact halo traffic: one message per partner per inner, the traces'
+    bytes only -- ``(A_out, G, N)`` FP64 per outflow halo face."""
+
+    @pytest.mark.parametrize(
+        "npex, npey, order, messages, nbytes",
+        [(2, 1, 1, 8, 65_536), (2, 2, 1, 32, 131_072), (2, 2, 2, 32, 442_368)],
+    )
+    def test_counts_are_pinned(self, npex, npey, order, messages, nbytes):
+        spec = ProblemSpec(
+            nx=4, ny=4, nz=2, order=order, angles_per_octant=2, num_groups=2,
+            num_inners=4, num_outers=1, npex=npex, npey=npey, engine="compiled",
+        )
+        result = repro.run(spec, telemetry=True)
+        assert (result.messages, result.bytes_exchanged) == (messages, nbytes)
+        counters = result.telemetry.counters
+        assert (counters["halo_messages"], counters["halo_bytes"]) == (messages, nbytes)

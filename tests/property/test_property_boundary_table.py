@@ -3,8 +3,8 @@
 :meth:`SweepExecutor.boundary_table` is what the per-angle epilogue walks and
 what the ``compiled`` engine hangs its ghost rows on, so its indexing must be
 exact for any mesh, halo subset and quadrature: the slot map is a bijection
-onto ``mesh.boundary_faces()``, every angle's inflow slots are exactly the
-boundary faces with orientation -1, every angle's leakage rows are the
+onto ``mesh.boundary_faces()``, every angle's halo outflow slots are exactly
+the halo faces with orientation +1, every angle's leakage rows are the
 non-halo outflow (and, with an incident flux, inflow) faces in slot order
 with the per-face tally's weights, and -- being a pure function of the
 executor's inputs -- building it again, or from two racing threads, yields
@@ -43,17 +43,13 @@ def _executor_with_halo(
 
 
 def _assert_tables_equal(first: BoundaryFaceTable, second: BoundaryFaceTable) -> None:
-    for name in ("faces", "slot", "halo"):
+    for name in ("faces", "slot", "halo", "halo_outflow"):
         np.testing.assert_array_equal(getattr(first, name), getattr(second, name), err_msg=name)
-    assert len(first.leakage) == len(second.leakage)
-    for mine, theirs in zip(first.leakage, second.leakage):
-        for array, other in zip(mine, theirs):
-            np.testing.assert_array_equal(array, other)
-    assert first.halo_outflow == second.halo_outflow
-    assert len(first.inflow) == len(second.inflow)
-    for (slots, keys), (other_slots, other_keys) in zip(first.inflow, second.inflow):
-        np.testing.assert_array_equal(slots, other_slots)
-        assert keys == other_keys
+    for name in ("leakage", "halo_cells"):
+        assert len(getattr(first, name)) == len(getattr(second, name)), name
+        for mine, theirs in zip(getattr(first, name), getattr(second, name)):
+            for array, other in zip(mine, theirs):
+                np.testing.assert_array_equal(array, other, err_msg=name)
 
 
 @settings(max_examples=20, deadline=None)
@@ -91,19 +87,18 @@ def test_boundary_table_indexes_the_boundary_exactly(
     np.testing.assert_array_equal(table.slot >= 0, mesh.face_neighbors == BOUNDARY)
     np.testing.assert_array_equal(table.halo, is_halo)
 
-    # Per angle: inflow slots are exactly the orientation -1 boundary faces,
-    # keyed (cell, face, angle); halo outflow exactly the +1 halo faces.
+    # Per angle: halo outflow is exactly the +1 halo faces, gathered from
+    # their cells in slot order.
     num_angles = executor.quadrature.num_angles
-    assert len(table.inflow) == len(table.halo_outflow) == len(table.leakage) == num_angles
-    for angle, (slots, keys) in enumerate(table.inflow):
+    assert table.halo_outflow.shape == (num_angles, boundary_faces.shape[0])
+    assert len(table.halo_cells) == len(table.leakage) == num_angles
+    for angle, (slots, halo_cells) in enumerate(table.halo_cells):
         orientation = executor.schedule.for_angle(angle).classification.orientation
         on_boundary = orientation[cells, faces]
-        np.testing.assert_array_equal(slots, np.nonzero(on_boundary == -1)[0])
-        assert keys == [(int(cells[s]), int(faces[s]), angle) for s in slots]
-        outflow_halo = np.nonzero((on_boundary == 1) & is_halo)[0]
-        assert sorted(table.halo_outflow[angle]) == [
-            (int(cells[s]), int(faces[s]), angle) for s in outflow_halo
-        ]
+        outflow_halo = (on_boundary == 1) & is_halo
+        np.testing.assert_array_equal(table.halo_outflow[angle], outflow_halo)
+        np.testing.assert_array_equal(slots, np.flatnonzero(outflow_halo))
+        np.testing.assert_array_equal(halo_cells, cells[slots])
 
         # Leakage rows: the non-halo outflow faces in slot order, each with
         # the per-face tally's weights; with an incident flux, the non-halo
