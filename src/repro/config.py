@@ -14,7 +14,25 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-__all__ = ["ProblemSpec", "BoundaryCondition"]
+__all__ = ["ProblemSpec", "BoundaryCondition", "GEOMETRY_FIELDS"]
+
+#: The :class:`ProblemSpec` fields a solver's geometry -- mesh, reference
+#: element, element factors and matrices, quadrature and sweep schedule --
+#: is a pure function of.  Specs equal on these share one geometry
+#: (:func:`repro.core.solver.geometry_for`); every other field is physics,
+#: iteration control or execution.
+GEOMETRY_FIELDS = (
+    "nx",
+    "ny",
+    "nz",
+    "lx",
+    "ly",
+    "lz",
+    "max_twist",
+    "twist_axis",
+    "order",
+    "angles_per_octant",
+)
 
 #: Fields added after the canonical-serialisation contract froze (PR 8's
 #: driver subsystem).  They are dropped from :meth:`ProblemSpec.to_dict`

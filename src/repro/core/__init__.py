@@ -16,7 +16,7 @@ Table II).
 """
 
 from .assembly import ElementMatrices, AssemblyTimings
-from .flux import FluxMoments, AngularFluxBank, node_integration_weights
+from .flux import FluxMoments, AngularFluxBank
 from .source import build_outer_source, build_total_source, scattering_source
 from .sweep import SweepExecutor, SweepResult, BoundaryValues
 from .reflect import ReflectiveBoundary
@@ -30,7 +30,6 @@ __all__ = [
     "AssemblyTimings",
     "FluxMoments",
     "AngularFluxBank",
-    "node_integration_weights",
     "build_outer_source",
     "build_total_source",
     "scattering_source",

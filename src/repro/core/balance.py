@@ -87,7 +87,8 @@ def particle_balance(
         ``(E, G, N)`` nodal scalar flux.
     node_weights:
         ``(E, N)`` nodal integration weights
-        (:func:`repro.core.flux.node_integration_weights`).
+        (:attr:`ElementMatrices.node_int_weights
+        <repro.core.assembly.ElementMatrices.node_int_weights>`).
     materials:
         Material library covering the mesh.
     fixed:

@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fem.element import HexElementFactors
-from ..fem.reference import ReferenceElement
-
-__all__ = ["FluxMoments", "AngularFluxBank", "node_integration_weights"]
-
-
-def node_integration_weights(factors: HexElementFactors, ref: ReferenceElement) -> np.ndarray:
-    """Per-node integration weights ``w[e, n]`` with ``int_K f dV ~= sum_n w f_n``."""
-    return np.einsum("eq,qn->en", factors.vol_weights, ref.phi_vol)
+__all__ = ["FluxMoments", "AngularFluxBank"]
 
 
 @dataclass

@@ -11,6 +11,12 @@ assemble/solve timing split (Table II) and the particle-balance diagnostics.
 Multi-rank (block Jacobi) execution is provided by
 :class:`repro.parallel.block_jacobi.BlockJacobiDriver`, which reuses the same
 building blocks per subdomain.
+
+The geometry -- mesh, reference element, element factors and matrices,
+quadrature and sweep schedule -- depends on the spec's
+:data:`~repro.config.GEOMETRY_FIELDS` alone, so the solver reuses the one
+most recently built from a spec (:func:`geometry_for`): a process solving one
+geometry with many cross sections, sources or drivers builds it once.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..angular.quadrature import AngularQuadrature, snap_dummy_quadrature
-from ..config import ProblemSpec
+from ..config import GEOMETRY_FIELDS, ProblemSpec
 from ..fem.element import HexElementFactors
 from ..fem.reference import ReferenceElement
 from ..materials.cross_sections import MaterialLibrary
@@ -30,14 +36,106 @@ from ..materials.source_terms import FixedSource, uniform_source
 from ..mesh.builder import StructuredGridSpec, build_snap_mesh
 from ..mesh.hexmesh import UnstructuredHexMesh
 from ..sweepsched.schedule import SweepSchedule, build_sweep_schedule
+from ..telemetry import active
 from .assembly import AssemblyTimings, ElementMatrices
 from .balance import BalanceReport, particle_balance
-from .flux import AngularFluxBank, node_integration_weights
+from .flux import AngularFluxBank
 from .iteration import IterationController, IterationHistory
 from .reflect import ReflectiveBoundary
 from .sweep import SweepExecutor, boundary_slots
 
-__all__ = ["TransportSolver", "TransportResult"]
+__all__ = ["TransportSolver", "TransportResult", "Geometry", "geometry_for"]
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Everything a solver derives from the geometry fields of its spec."""
+
+    mesh: UnstructuredHexMesh
+    ref: ReferenceElement
+    factors: HexElementFactors
+    matrices: ElementMatrices
+    quadrature: AngularQuadrature
+    schedule: SweepSchedule
+
+    @classmethod
+    def build(
+        cls,
+        spec: ProblemSpec,
+        mesh: UnstructuredHexMesh | None = None,
+        quadrature: AngularQuadrature | None = None,
+    ) -> "Geometry":
+        """Build from ``spec``, or around a caller's ``mesh``/``quadrature``."""
+        if mesh is None:
+            mesh = build_snap_mesh(
+                StructuredGridSpec(spec.nx, spec.ny, spec.nz, spec.lx, spec.ly, spec.lz),
+                max_twist=spec.max_twist,
+                twist_axis=spec.twist_axis,
+            )
+        if quadrature is None:
+            quadrature = snap_dummy_quadrature(spec.angles_per_octant)
+        ref = ReferenceElement(spec.order)
+        factors = HexElementFactors.build(mesh.cell_vertices(), ref)
+        matrices = ElementMatrices.build(factors, ref)
+        schedule = build_sweep_schedule(mesh, factors, quadrature)
+        return cls(mesh, ref, factors, matrices, quadrature, schedule)
+
+
+#: The process's one geometry slot: ``(key, geometry)`` of the last
+#: :func:`geometry_for` miss.  Replaced in one assignment, so threads need no
+#: lock -- two that miss together build equal geometries and either may win.
+_slot: tuple[tuple[str, ...], Geometry] | None = None
+
+
+def geometry_for(
+    spec: ProblemSpec,
+    mesh: UnstructuredHexMesh | None = None,
+    quadrature: AngularQuadrature | None = None,
+    telemetry=None,
+) -> Geometry:
+    """The geometry of ``spec``, shared with the last spec of equal geometry.
+
+    The key is the ``repr`` of each :data:`~repro.config.GEOMETRY_FIELDS`
+    value, so only bit-equal inputs share (``0.0`` and ``-0.0`` do not).
+    Every array of a shared geometry is read-only: writing into one raises
+    instead of changing every later run of that geometry in the process.
+    A caller's ``mesh`` or ``quadrature`` bypasses the slot: the geometry is
+    built around it, private and writable.  An enabled ``telemetry`` counts
+    ``geometry_hits`` (reused) and ``geometry_misses`` (built).
+    """
+    global _slot
+    key = tuple(repr(getattr(spec, name)) for name in GEOMETRY_FIELDS)
+    slot = _slot
+    bypass = mesh is not None or quadrature is not None
+    hit = not bypass and slot is not None and slot[0] == key
+    if telemetry is not None:
+        telemetry.incr("geometry_hits" if hit else "geometry_misses")
+    if hit:
+        return slot[1]
+    geometry = Geometry.build(spec, mesh, quadrature)
+    if bypass:
+        return geometry
+    _freeze(geometry, set())
+    _slot = (key, geometry)
+    return geometry
+
+
+def _freeze(obj, seen: set[int]) -> None:
+    """Mark every ndarray reachable from ``obj`` read-only."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _freeze(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _freeze(item, seen)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            _freeze(item, seen)
 
 
 @dataclass
@@ -117,7 +215,9 @@ class TransportSolver:
     materials, fixed_source, quadrature, mesh:
         Optional overrides of the SNAP-style defaults; anything not supplied
         is generated from ``spec`` (material/source "option 1", SNAP dummy
-        quadrature, twisted structured-derived mesh).
+        quadrature, twisted structured-derived mesh).  Without ``mesh`` and
+        ``quadrature`` the geometry comes from :func:`geometry_for` and its
+        arrays are shared and read-only.
     engine:
         Sweep-engine override (name or instance); defaults to ``spec.engine``.
     num_threads:
@@ -150,18 +250,14 @@ class TransportSolver:
         self.spec = spec
         self.telemetry = telemetry
 
-        self.mesh = mesh if mesh is not None else build_snap_mesh(
-            StructuredGridSpec(spec.nx, spec.ny, spec.nz, spec.lx, spec.ly, spec.lz),
-            max_twist=spec.max_twist,
-            twist_axis=spec.twist_axis,
-        )
-        self.ref = ReferenceElement(spec.order)
-        self.factors = HexElementFactors.build(self.mesh.cell_vertices(), self.ref)
-        self.matrices = ElementMatrices.build(self.factors, self.ref)
+        geometry = geometry_for(spec, mesh, quadrature, active(telemetry))
+        self.mesh = geometry.mesh
+        self.ref = geometry.ref
+        self.factors = geometry.factors
+        self.matrices = geometry.matrices
+        self.quadrature = geometry.quadrature
+        self.schedule: SweepSchedule = geometry.schedule
 
-        self.quadrature = (
-            quadrature if quadrature is not None else snap_dummy_quadrature(spec.angles_per_octant)
-        )
         self.materials = (
             materials if materials is not None else snap_option1_library(
                 spec.num_groups, spec.scattering_ratio
@@ -173,10 +269,6 @@ class TransportSolver:
             else uniform_source(
                 self.mesh.num_cells, self.materials.num_groups, spec.source_strength
             )
-        )
-
-        self.schedule: SweepSchedule = build_sweep_schedule(
-            self.mesh, self.factors, self.quadrature
         )
         # Reflective boundaries reuse the halo machinery: every domain
         # boundary face collects its outgoing traces, which the iteration
@@ -207,7 +299,7 @@ class TransportSolver:
             factor_cache_budget_bytes=spec.factor_cache_budget_bytes,
         )
         self.executor.reflective = reflective
-        self.node_weights = node_integration_weights(self.factors, self.ref)
+        self.node_weights = self.matrices.node_int_weights
         self.setup_seconds = time.perf_counter() - t0
 
     # ---------------------------------------------------- factor-cache hooks

@@ -114,17 +114,24 @@ def _emit_c():
     return emit_module(_PORTABLE, ARGUMENTS)
 
 
-def _cffi_artefact(emitted) -> tuple[str, Path]:
+#: The C compiler flags of the cffi build (``-ffp-contract=off``: no fused
+#: multiply-add, so the C rounds exactly as the Python kernels do).
+_CFLAGS = ("-O3", "-ffp-contract=off")
+
+
+def _cffi_artefact(emitted, flags: tuple[str, ...]) -> tuple[str, Path]:
     """Module name and on-disk path of this interpreter's build of ``emitted``.
 
-    Directory and module name carry a hash of the emitted C, so a changed
-    kernel compiles afresh and two versions can coexist in one process; the
-    file name carries this interpreter's own extension suffix, so another
-    interpreter sharing the temp directory publishes beside it, never over it.
+    Directory and module name carry a hash of the emitted C and the compiler
+    ``flags``, so a changed kernel or flag compiles afresh and two versions
+    can coexist in one process; the file name carries this interpreter's own
+    extension suffix, so another interpreter sharing the temp directory
+    publishes beside it, never over it.
     """
     import importlib.machinery
 
-    digest = hashlib.sha256((emitted.cdef + emitted.source).encode()).hexdigest()[:16]
+    keyed = "\0".join((emitted.cdef, emitted.source, *flags))
+    digest = hashlib.sha256(keyed.encode()).hexdigest()[:16]
     module_name = f"_unsnap_compiled_{digest}"
     cache_dir = Path(tempfile.gettempdir()) / f"unsnap-compiled-{digest}"
     return module_name, cache_dir / (module_name + importlib.machinery.EXTENSION_SUFFIXES[0])
@@ -140,7 +147,7 @@ def _compile_cffi_module(emitted):
 
     import cffi
 
-    module_name, target = _cffi_artefact(emitted)
+    module_name, target = _cffi_artefact(emitted, _CFLAGS)
 
     def _load(so_path: Path):
         spec = importlib.util.spec_from_file_location(module_name, so_path)
@@ -156,7 +163,7 @@ def _compile_cffi_module(emitted):
     ffibuilder.set_source(
         module_name,
         emitted.source,
-        extra_compile_args=["-O3", "-ffp-contract=off"],
+        extra_compile_args=list(_CFLAGS),
     )
     with tempfile.TemporaryDirectory(prefix="unsnap-compiled-build-") as build_dir:
         so_path = Path(ffibuilder.compile(tmpdir=build_dir))

@@ -22,7 +22,6 @@ from ..config import ProblemSpec
 from ..core.assembly import AssemblyTimings, ElementMatrices
 from ..core.balance import BalanceReport, particle_balance
 from ..core.convergence import max_relative_difference
-from ..core.flux import node_integration_weights
 from ..core.source import build_outer_source, build_total_source
 from ..core.sweep import BoundaryValues, SweepExecutor
 from ..fem.element import HexElementFactors
@@ -195,7 +194,7 @@ class BlockJacobiDriver:
             self.rank_sources.append(rank_source)
             self.executors.append(executor)
             self.exchangers.append(HaloExchanger(sub, self.world.comm(sub.rank)))
-            self.node_weights.append(node_integration_weights(factors, self.ref))
+            self.node_weights.append(matrices.node_int_weights)
 
     @property
     def num_ranks(self) -> int:

@@ -6,7 +6,7 @@ import pytest
 from repro.core.assembly import AssemblyTimings
 from repro.core.balance import particle_balance
 from repro.core.convergence import is_converged, max_relative_difference, relative_change
-from repro.core.flux import FluxMoments, AngularFluxBank, node_integration_weights
+from repro.core.flux import FluxMoments, AngularFluxBank
 from repro.core.source import build_outer_source, build_total_source, scattering_source
 from repro.materials.library import snap_option1_library
 from repro.materials.source_terms import uniform_source
@@ -164,10 +164,10 @@ class TestConvergence:
 
 
 class TestFluxContainers:
-    def test_flux_moments(self, small_factors, ref_order1):
+    def test_flux_moments(self, small_factors, small_matrices):
         flux = FluxMoments.zeros(27, 2, 8)
         assert flux.shape == (27, 2, 8)
-        weights = node_integration_weights(small_factors, ref_order1)
+        weights = small_matrices.node_int_weights
         flux.scalar[:] = 2.0
         avg = flux.cell_average(small_factors.volumes, weights)
         assert np.allclose(avg, 2.0)
@@ -186,7 +186,7 @@ class TestFluxContainers:
 
 
 class TestBalanceReport:
-    def test_pure_absorber_closed_box_balance(self, small_mesh, small_factors, ref_order1):
+    def test_pure_absorber_closed_box_balance(self, small_mesh, small_factors, small_matrices):
         # Construct a fake converged state where absorption exactly equals the
         # source and leakage is zero, and check the report arithmetic.
         from repro.materials.cross_sections import MaterialLibrary
@@ -197,7 +197,7 @@ class TestBalanceReport:
             small_mesh.num_cells
         )
         fixed = uniform_source(small_mesh.num_cells, num_groups, strength=1.0)
-        weights = node_integration_weights(small_factors, ref_order1)
+        weights = small_matrices.node_int_weights
         flux = np.full((small_mesh.num_cells, num_groups, 8), 0.5)  # q / sigma_t
         report = particle_balance(
             scalar_flux=flux,

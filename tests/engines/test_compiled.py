@@ -16,6 +16,8 @@ ever reusing a stale factor.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from contract import EngineContract
@@ -251,9 +253,14 @@ class TestCompiledColdBuild:
 
     def test_singular_system_raises_and_caches_nothing(self):
         solver = TransportSolver(SMALL)
-        matrices = solver.executor.matrices
-        for array in (matrices.mass, matrices.gradient, matrices.face_own):
-            array[...] = 0.0  # every local system is the zero matrix
+        # Zeroed copies: the solver's own matrices are shared and read-only.
+        solver.executor.matrices = dataclasses.replace(
+            solver.executor.matrices,
+            **{
+                name: np.zeros_like(getattr(solver.executor.matrices, name))
+                for name in ("mass", "gradient", "face_own")
+            },
+        )  # every local system is the zero matrix
         with pytest.raises(
             np.linalg.LinAlgError, match="^at least one matrix in the batch is singular$"
         ):

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -143,7 +144,7 @@ class TestForcedProviders:
             from repro.engines.compiled import providers
 
             emitted = providers._emit_c()
-            name, target = providers._cffi_artefact(emitted)
+            name, target = providers._cffi_artefact(emitted, providers._CFLAGS)
             assert target.name == name + importlib.machinery.EXTENSION_SUFFIXES[0]
             foreign = target.with_name(name + ".cpython-310-x86_64-linux-gnu.so")
             assert foreign.name < target.name, "the junk must sort first"
@@ -159,6 +160,16 @@ class TestForcedProviders:
         )
         assert proc.returncode == 0, proc.stderr
         assert "OK" in proc.stdout
+
+    def test_cffi_artefact_is_keyed_by_the_compile_flags(self):
+        """A flag change must build afresh, never load the old ``.so``."""
+        emitted = types.SimpleNamespace(cdef="void f(void);", source="void f(void) {}")
+        name, target = providers._cffi_artefact(emitted, providers._CFLAGS)
+        assert providers._cffi_artefact(emitted, providers._CFLAGS) == (name, target)
+        for flags in (("-O2", "-ffp-contract=off"), ("-O3",), (*providers._CFLAGS, "-fopenmp")):
+            other_name, other_target = providers._cffi_artefact(emitted, flags)
+            assert other_name != name
+            assert other_target != target and other_target.parent != target.parent
 
     def test_forcing_a_missing_provider_reports_it(self, monkeypatch):
         monkeypatch.setenv("UNSNAP_COMPILED_PROVIDER", "numba")
