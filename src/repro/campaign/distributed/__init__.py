@@ -11,7 +11,8 @@ payloads out to worker processes -- on this machine or any number of others
   cost first, so cubic stragglers dispatch before cheap linear points);
 * workers (``unsnap worker SPOOL_DIR``, local or started remotely by the
   :class:`~repro.campaign.distributed.launcher.SshLauncher`) claim jobs by
-  **atomic rename** -- exactly one winner per job, no locks, no sockets;
+  **atomic rename** -- exactly one winner per job, no locks; an advisory
+  doorbell socket per waiter only shortens the wait for the next look;
 * every worker maintains a heartbeat file; the coordinator re-queues the
   claims of dead or stalled workers once their lease expires (work
   stealing), so a killed worker's points are re-executed elsewhere;
@@ -21,8 +22,9 @@ payloads out to worker processes -- on this machine or any number of others
   identical to the ``serial`` backend (asserted by the conformance
   matrix, which discovers this backend through the registry).
 
-Everything is plain files, so any shared filesystem (NFS, sshfs, a cloud
-bucket mount) is a cluster fabric.
+The protocol is plain files, so any shared filesystem (NFS, sshfs, a
+cloud bucket mount) is a cluster fabric; waiters the doorbells cannot
+reach poll.
 """
 
 from .coordinator import DistributedBackend

@@ -45,7 +45,7 @@ from ...obs.trace import current_trace
 from ...runner import RunResult
 from ..backends import register_backend
 from ..workitem import WorkItem, as_work_items, order_by_cost
-from .spool import SpoolDir
+from .spool import COORDINATOR, SpoolDir, done_name
 
 __all__ = ["DistributedBackend", "worker_command"]
 
@@ -58,6 +58,9 @@ ENV_WORKERS = "UNSNAP_SPOOL_WORKERS"
 DEFAULT_LEASE_SECONDS = 15.0
 DEFAULT_POLL_SECONDS = 0.1
 DEFAULT_WORKERS = 2
+#: A failed marker open costs about as much as listing this many names in
+#: ``done/`` (11 us against 0.5 us on local disk): the drain's break-even.
+_OPENS_PER_NAME = 20
 
 
 def worker_command(
@@ -122,7 +125,9 @@ class DistributedBackend:
         Claim lease: a claim is stolen once claim file *and* owner
         heartbeat are both older than this.
     poll_seconds:
-        Coordinator poll period (also the spawned workers' queue poll).
+        Coordinator poll period (also the spawned workers' queue poll): the
+        longest wait when no doorbell rings, since a done marker or a
+        publish wakes a same-host waiter at once.
     workers:
         Local workers to spawn.  ``None``: spawn only when the spool has no
         live workers (count = ``jobs`` or {DEFAULT_WORKERS}); ``0``: never
@@ -328,66 +333,89 @@ class DistributedBackend:
         poll: float,
         trace: dict | None = None,
     ) -> Iterator[tuple[int, RunResult, dict]]:
-        """Poll the spool until every outstanding point completes (or fails)."""
-        store = spool.store
-        started = time.time()
-        last_recovery = 0.0
-        while outstanding:
-            progressed = False
-            done = spool.done_markers()
-            for index, item in list(outstanding.items()):
-                meta = done.get((index, item.run_key[:16]))
-                if meta is None:
+        """Wait on the spool until every outstanding point completes (or fails).
+
+        The drain's own doorbell (bound before the first marker look, so
+        two concurrent drains never take each other's ring) wakes it when
+        any done marker lands.  Each wake reads only outstanding points'
+        markers, and finds them the cheaper way: a direct open per point
+        while few are outstanding (a service drain waits on one), one
+        listing of ``done/`` while opening every outstanding marker would
+        cost more than listing the names the last listing saw.
+        """
+        with spool.doorbell(COORDINATOR) as bell:
+            store = spool.store
+            started = time.time()
+            last_recovery = 0.0
+            # Names in done/ at the last listing; before the first, one open's
+            # worth, so a lone outstanding point is always opened directly.
+            listed = _OPENS_PER_NAME
+            # run_key hashes the whole spec (~0.5 ms): once per point, not per wake.
+            key16s = {index: item.run_key[:16] for index, item in outstanding.items()}
+            while outstanding:
+                progressed = False
+                names = None
+                if len(outstanding) * _OPENS_PER_NAME > listed:
+                    names = spool.done_names()
+                    listed = len(names)
+                for index, item in list(outstanding.items()):
+                    key16 = key16s[index]
+                    if names is not None and done_name(index, key16) not in names:
+                        continue
+                    meta = spool.done_marker(index, key16)
+                    if meta is None:
+                        continue
+                    if meta.get("error"):
+                        raise RuntimeError(
+                            f"distributed run {index} failed after "
+                            f"{meta.get('attempts', '?')} attempts on worker "
+                            f"{meta.get('worker_id', '?')}: {meta['error']}"
+                            f"{_quarantine_note(spool)}"
+                        )
+                    result = store.get(item)
+                    if result is None:
+                        # Marker without record: the protocol writes the record
+                        # first, so this is damage -- retract the marker and
+                        # re-execute the point.
+                        spool.clear_done(index, key16)
+                        self._republish(spool, item, attempts, trace=trace)
+                        continue
+                    self._incr(
+                        "distributed.queue_wait_seconds", meta.get("queue_wait_seconds", 0.0)
+                    )
+                    del outstanding[index]
+                    progressed = True
+                    yield index, result, dict(meta)
+                if not outstanding:
+                    return
+                if progressed:
                     continue
-                if meta.get("error"):
+
+                now = time.time()
+                if now - last_recovery >= min(poll * 5, lease / 3):
+                    last_recovery = now
+                    self._recover(
+                        spool, outstanding, attempts, lease=lease, now=now, trace=trace
+                    )
+
+                if self.timeout_seconds is not None and now - started > self.timeout_seconds:
                     raise RuntimeError(
-                        f"distributed run {index} failed after "
-                        f"{meta.get('attempts', '?')} attempts on worker "
-                        f"{meta.get('worker_id', '?')}: {meta['error']}"
+                        f"distributed campaign timed out after {self.timeout_seconds}s "
+                        f"with {len(outstanding)} points outstanding"
                         f"{_quarantine_note(spool)}"
                     )
-                result = store.get(item)
-                if result is None:
-                    # Marker without record: the protocol writes the record
-                    # first, so this is damage -- retract the marker and
-                    # re-execute the point.
-                    spool.clear_done(index, item.run_key[:16])
-                    self._republish(spool, item, attempts, trace=trace)
-                    continue
-                self._incr("distributed.queue_wait_seconds", meta.get("queue_wait_seconds", 0.0))
-                del outstanding[index]
-                progressed = True
-                yield index, result, dict(meta)
-            if not outstanding:
-                return
-            if progressed:
-                continue
-
-            now = time.time()
-            if now - last_recovery >= min(poll * 5, lease / 3):
-                last_recovery = now
-                self._recover(
-                    spool, outstanding, attempts, lease=lease, now=now, trace=trace
-                )
-
-            if self.timeout_seconds is not None and now - started > self.timeout_seconds:
-                raise RuntimeError(
-                    f"distributed campaign timed out after {self.timeout_seconds}s "
-                    f"with {len(outstanding)} points outstanding"
-                    f"{_quarantine_note(spool)}"
-                )
-            if (
-                procs
-                and all(proc.poll() is not None for proc in procs)
-                and not spool.live_workers(lease)
-            ):
-                codes = sorted({proc.returncode for proc in procs})
-                raise RuntimeError(
-                    f"all {len(procs)} spawned spool workers exited "
-                    f"(return codes {codes}) with {len(outstanding)} points outstanding"
-                    f"{_quarantine_note(spool)}"
-                )
-            time.sleep(poll)
+                if (
+                    procs
+                    and all(proc.poll() is not None for proc in procs)
+                    and not spool.live_workers(lease)
+                ):
+                    codes = sorted({proc.returncode for proc in procs})
+                    raise RuntimeError(
+                        f"all {len(procs)} spawned spool workers exited "
+                        f"(return codes {codes}) with {len(outstanding)} points outstanding"
+                        f"{_quarantine_note(spool)}"
+                    )
+                bell.wait(poll)
 
     def _recover(
         self,
@@ -412,10 +440,12 @@ class DistributedBackend:
                     self._republish(
                         spool, outstanding[claim.index], attempts, trace=trace
                     )
-        done = spool.done_markers()
         for index, item in outstanding.items():
-            settled = (index, item.run_key[:16]) in done
-            if index not in pending and index not in claimed and not settled:
+            if (
+                index not in pending
+                and index not in claimed
+                and spool.done_marker(index, item.run_key[:16]) is None
+            ):
                 # Quarantined, crashed mid-rename, or swept away: requeue.
                 self._republish(spool, item, attempts, trace=trace)
 

@@ -2,7 +2,7 @@
 
 A :class:`SpoolDir` is a directory on a filesystem every participant can
 see (local disk for same-machine workers, NFS/sshfs for a cluster).  Its
-layout *is* the protocol -- there is no server, no socket, no lock file::
+files *are* the protocol -- there is no server and no lock file::
 
     spool/
       store/        shared ResultStore (the merge point for results)
@@ -12,6 +12,7 @@ layout *is* the protocol -- there is no server, no socket, no lock file::
       workers/      one heartbeat file per live worker
       quarantine/   job files whose payload failed to parse
       trace/        per-participant unsnap-trace-v1 span files (opt-in)
+      bells/        one doorbell socket per waiting worker or coordinator
       STOP          cooperative shutdown marker (drains idle workers)
 
 Three filesystem properties carry the whole design:
@@ -35,6 +36,17 @@ Re-execution is harmless by construction: results land in the shared
 twice.  The done marker is written *before* the claim is removed, so a
 job observed in neither ``jobs/`` nor ``claims/`` nor ``done/`` was
 genuinely lost (e.g. quarantined) and must be republished.
+
+The bells only wake; they carry no state.  Each waiter (one per
+:class:`~repro.campaign.distributed.worker.SpoolWorker`, one per
+coordinator drain) binds a :class:`Doorbell` -- a unix datagram socket in
+``bells/`` -- before its first look at the files, and every writer rings
+the other role's bells after its atomic rename: :meth:`SpoolDir.publish`
+and :meth:`SpoolDir.request_stop` wake the workers, a done marker wakes
+the coordinators.  A waiter that cannot bind (no ``AF_UNIX``, a socket
+path longer than ``sun_path``, a filesystem that refuses sockets) and a
+ring that never arrives (another host on NFS) both cost what polling
+costs: the next look at the files one poll period later.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ from pathlib import Path
 from ..store import ResultStore
 from ..workitem import WorkItem
 
-__all__ = ["SpoolDir", "SpoolClaim", "worker_identity"]
+__all__ = ["Doorbell", "SpoolDir", "SpoolClaim", "worker_identity"]
 
 #: Format marker embedded in every job payload (reject foreign files).
 JOB_FORMAT = "unsnap-spool-job-v1"
@@ -69,6 +81,11 @@ _CLAIM_NAME = re.compile(
     r"^(?P<stem>\d{16}-\d{6}-a\d{2}-[0-9a-f]{16})@(?P<worker_id>[A-Za-z0-9_.-]+)\.json$"
 )
 _DONE_NAME = re.compile(r"^(?P<index>\d{6})-(?P<key16>[0-9a-f]{16})\.json$")
+
+
+def done_name(index: int, key16: str) -> str:
+    """The file name of one job's done marker in ``done/``."""
+    return f"{index:06d}-{key16}.json"
 
 
 def worker_identity(suffix: str | None = None) -> str:
@@ -116,10 +133,86 @@ class SpoolClaim:
         return item, payload
 
 
+#: Doorbell roles: a ``publish``/``request_stop`` rings ``worker`` bells, a
+#: done marker rings ``coordinator`` bells.
+WORKER, COORDINATOR = "worker", "coordinator"
+#: A bell's file name is its role's initial and 8 hex digits (``c-1f2e3d4c``):
+#: short, so the socket path ``{spool}/bells/{name}`` fits ``sun_path`` (108
+#: bytes on Linux, 104 on BSD) for spool paths up to about 85 bytes.
+_BELL_ROLES = {WORKER[0]: WORKER, COORDINATOR[0]: COORDINATOR}
+
+
+class Doorbell:
+    """One waiter's wake-up socket in ``bells/`` (a ``role``-named datagram socket).
+
+    Bind it *before* the first look at the spool files: a ring that lands
+    between that look and :meth:`wait` stays queued in the socket, so the
+    wait returns at once.  Advisory only -- :meth:`wait` returns after
+    ``timeout`` whether or not anything rang, and a bell that could not be
+    bound simply sleeps, which is the polling fallback.
+    """
+
+    def __init__(self, bells: Path, role: str):
+        self.path = bells / f"{role[0]}-{os.urandom(4).hex()}"
+        self._sock = None
+        try:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
+        except (AttributeError, OSError):
+            return  # no AF_UNIX on this platform
+        try:
+            sock.bind(str(self.path))
+        except OSError:  # a path past ``sun_path``, or a filesystem that refuses it
+            sock.close()
+            return
+        self._sock = sock
+
+    def wait(self, timeout: float) -> bool:
+        """Sleep until rung or ``timeout`` passes; ``True`` if it rang.
+
+        Every queued ring is drained, so one wake answers any number of
+        rings that arrived since the last look.
+        """
+        if self._sock is None:
+            time.sleep(timeout)
+            return False
+        # A socket timeout waits in poll(2), which has no FD_SETSIZE limit.
+        self._sock.settimeout(max(0.0, timeout))
+        try:
+            self._sock.recv(64)
+        except OSError:
+            return False  # timed out
+        self._sock.setblocking(False)
+        try:
+            while True:
+                self._sock.recv(64)
+        except OSError:
+            pass  # drained
+        return True
+
+    def close(self) -> None:
+        """Unbind and remove the socket file (idempotent)."""
+        if self._sock is None:
+            return
+        self._sock.close()
+        self._sock = None
+        try:
+            os.unlink(self.path)
+        except OSError:
+            pass
+
+    def __enter__(self) -> "Doorbell":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 class SpoolDir:
     """The work-queue directory (see the module docstring for the protocol)."""
 
-    SUBDIRS = ("store", "jobs", "claims", "done", "workers", "quarantine", "trace")
+    SUBDIRS = (
+        "store", "jobs", "claims", "done", "workers", "quarantine", "trace", "bells",
+    )
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -179,6 +272,7 @@ class SpoolDir:
         tmp = path.with_name(f".{name}.{worker_identity()}.tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True))
         os.replace(tmp, path)
+        self.ring(WORKER)
         return path
 
     def pending(self) -> list[Path]:
@@ -283,12 +377,33 @@ class SpoolDir:
         return path
 
     def _write_done(self, index: int, key16: str, meta: dict) -> Path:
-        name = f"{index:06d}-{key16}.json"
+        name = done_name(index, key16)
         path = self.root / "done" / name
         tmp = path.with_name(f".{name}.{worker_identity()}.tmp")
         tmp.write_text(json.dumps(meta, sort_keys=True))
         os.replace(tmp, path)
+        self.ring(COORDINATOR)
         return path
+
+    def done_marker(self, index: int, key16: str) -> dict | None:
+        """One job's done-marker metadata, or ``None`` while it is not done.
+
+        A direct open, so a waiter's cost does not grow with ``done/``.  A
+        marker another host is still writing also reads as ``None``; the
+        next look sees it.
+        """
+        try:
+            meta = json.loads((self.root / "done" / done_name(index, key16)).read_text())
+        except (OSError, json.JSONDecodeError):
+            return None
+        return meta if isinstance(meta, dict) else None
+
+    def done_names(self) -> set[str]:
+        """The file names in ``done/``, unread: one listing, no marker parsed."""
+        try:
+            return set(os.listdir(self.root / "done"))
+        except OSError:
+            return set()
 
     def done_markers(self) -> dict[tuple[int, str], dict]:
         """``{(index, key16): metadata}`` for every finished job."""
@@ -297,18 +412,16 @@ class SpoolDir:
             match = _DONE_NAME.match(path.name)
             if not match:
                 continue
-            try:
-                meta = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue  # marker mid-write by another host; next poll sees it
-            if isinstance(meta, dict):
-                out[(int(match["index"]), match["key16"])] = meta
+            key = (int(match["index"]), match["key16"])
+            meta = self.done_marker(*key)
+            if meta is not None:
+                out[key] = meta
         return out
 
     def clear_done(self, index: int, key16: str) -> None:
         """Retract a done marker (only for marker-without-record damage)."""
         try:
-            os.unlink(self.root / "done" / f"{index:06d}-{key16}.json")
+            os.unlink(self.root / "done" / done_name(index, key16))
         except OSError:
             pass
 
@@ -345,6 +458,57 @@ class SpoolDir:
             out.append({"name": path.name, "reason": reason})
         return out
 
+    # -------------------------------------------------------------- doorbells
+    def doorbell(self, role: str) -> Doorbell:
+        """Bind a new waiter's bell (close it on every exit path)."""
+        return Doorbell(self.root / "bells", role)
+
+    def ring(self, role: str) -> None:
+        """Wake every bound ``role`` waiter; never blocks and never raises.
+
+        One byte per bell.  A full bell is already ringing; a refused or
+        vanished one belonged to a dead waiter and its file is removed.
+        """
+        bells = self.root / "bells"
+        try:
+            names = [n for n in os.listdir(bells) if n.startswith(f"{role[0]}-")]
+            if not names:
+                return
+            with socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM) as sock:
+                sock.setblocking(False)
+                for name in names:
+                    try:
+                        sock.sendto(b"\0", str(bells / name))
+                    except (ConnectionRefusedError, FileNotFoundError):
+                        try:
+                            os.unlink(bells / name)
+                        except OSError:
+                            pass
+                    except OSError:
+                        pass  # BlockingIOError: that bell is already ringing
+        except (AttributeError, OSError):
+            pass  # no AF_UNIX or no bells/: every waiter is polling
+
+    def doorbells(self) -> dict[str, int]:
+        """Live bells by role (a refused probe is a dead waiter's file)."""
+        counts = {WORKER: 0, COORDINATOR: 0}
+        bells = self.root / "bells"
+        try:
+            names = os.listdir(bells)
+            with socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM) as probe:
+                for name in names:
+                    role = _BELL_ROLES.get(name.split("-", 1)[0])
+                    if role is None:
+                        continue
+                    try:
+                        probe.connect(str(bells / name))
+                    except OSError:
+                        continue
+                    counts[role] += 1
+        except (AttributeError, OSError):
+            pass
+        return counts
+
     # ------------------------------------------------------------- observing
     def status(self, lease_seconds: float = 15.0, now: float | None = None) -> dict:
         """One JSON-safe snapshot of the whole spool, straight off the files.
@@ -352,7 +516,8 @@ class SpoolDir:
         The payload behind ``unsnap spool status`` and the gateway's spool
         metrics: pending/claimed/done/error counts, per-claim owner and
         age, per-worker heartbeat age and liveness (against
-        ``lease_seconds``), the quarantine with reasons, and the STOP flag.
+        ``lease_seconds``), the quarantine with reasons, the live doorbells
+        by role (zero: that role is polling) and the STOP flag.
         Pure observation -- never writes, steals or republishes.
         """
         now = time.time() if now is None else now
@@ -396,6 +561,7 @@ class SpoolDir:
             "errors": errors,
             "workers": workers,
             "quarantined": self.quarantined(),
+            "doorbells": self.doorbells(),
             "stop_requested": self.stop_requested(),
         }
 
@@ -443,6 +609,7 @@ class SpoolDir:
     def request_stop(self) -> None:
         """Ask every worker to exit once it finishes its current job."""
         self.stop_path.touch()
+        self.ring(WORKER)
 
     def clear_stop(self) -> None:
         try:

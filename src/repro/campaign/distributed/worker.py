@@ -15,7 +15,7 @@ import threading
 import time
 from pathlib import Path
 
-from .spool import SpoolClaim, SpoolDir, worker_identity
+from .spool import WORKER, SpoolClaim, SpoolDir, worker_identity
 
 __all__ = ["SpoolWorker", "run_worker"]
 
@@ -31,7 +31,9 @@ class SpoolWorker:
         Stable identity written into claims, heartbeats and done markers;
         defaults to a filesystem-safe ``host-pid``.
     poll_seconds:
-        Idle sleep between queue checks.
+        Longest idle wait between queue checks.  A publish or a STOP rings
+        the worker's doorbell and ends the wait early; this period is the
+        fallback when no doorbell rings (another host, or no bell bound).
     heartbeat_seconds:
         Heartbeat-file touch period (keep well under the campaign lease).
     max_jobs:
@@ -159,8 +161,10 @@ class SpoolWorker:
         Exits when the STOP marker appears (after finishing the current
         job), after ``max_jobs`` executions, or after ``idle_exit_seconds``
         of empty queue.  A heartbeat thread keeps the worker's liveness
-        file fresh even through long-running solves.
+        file fresh even through long-running solves.  An idle worker waits
+        on its doorbell, bound before the first queue check.
         """
+        bell = self.spool.doorbell(WORKER)
         stop = threading.Event()
 
         def beat() -> None:
@@ -184,11 +188,12 @@ class SpoolWorker:
                         and time.time() - idle_since > self.idle_exit_seconds
                     ):
                         break
-                    time.sleep(self.poll_seconds)
+                    bell.wait(self.poll_seconds)
                     continue
                 self.run_claim(claim)
                 idle_since = time.time()
         finally:
+            bell.close()
             stop.set()
             beater.join(timeout=2 * self.heartbeat_seconds)
             self.spool.retire(self.worker_id)

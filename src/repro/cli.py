@@ -319,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--poll", type=float, default=0.2, metavar="SECONDS",
-        help="idle sleep between queue checks (default 0.2)",
+        help="longest idle wait between queue checks: the fallback period "
+        "when no doorbell rings (default 0.2)",
     )
     worker.add_argument(
         "--heartbeat", type=float, default=1.0, metavar="SECONDS",

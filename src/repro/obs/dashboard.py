@@ -38,6 +38,8 @@ def render_spool_status(status: dict) -> str:
         f"  done         {status.get('done', 0)}",
         f"  errors       {status.get('errors', 0)}",
         f"  quarantined  {len(status.get('quarantined', []))}",
+        "  doorbells    "
+        + " ".join(f"{role}={n}" for role, n in sorted(status.get("doorbells", {}).items())),
         f"  stop         {'requested' if status.get('stop_requested') else '-'}",
     ]
     claims = status.get("claims", [])

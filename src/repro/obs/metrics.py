@@ -18,7 +18,7 @@ counted twice:
   coordinator's ``distributed.*`` steal/dispatch counters);
 * :func:`spool_metrics` -- a :meth:`~repro.campaign.distributed.spool.
   SpoolDir.status` dict (pending/claimed/done/quarantined jobs, per-worker
-  heartbeat ages).
+  heartbeat ages, bound doorbells by role).
 """
 
 from __future__ import annotations
@@ -238,7 +238,8 @@ def telemetry_metrics(telemetry) -> list[Metric]:
 
 def spool_metrics(status: dict) -> list[Metric]:
     """Translate a spool :meth:`~repro.campaign.distributed.spool.SpoolDir.
-    status` dict (pending/claimed/done/quarantined, heartbeat ages)."""
+    status` dict (pending/claimed/done/quarantined, heartbeat ages,
+    doorbells by role)."""
     jobs = Metric(
         "unsnap_spool_jobs", "gauge", "Spool jobs by protocol state."
     )
@@ -256,9 +257,17 @@ def spool_metrics(status: dict) -> list[Metric]:
     for worker in status.get("workers", []):
         heartbeats.add(worker.get("age_seconds", 0.0), worker_id=worker.get("worker_id", "?"))
         live += 1 if worker.get("live") else 0
+    doorbells = Metric(
+        "unsnap_spool_doorbells",
+        "gauge",
+        "Bound spool doorbells by waiter role (0: that role polls).",
+    )
+    for role, count in sorted(status.get("doorbells", {}).items()):
+        doorbells.add(count, role=role)
     return [
         jobs,
         heartbeats,
+        doorbells,
         Metric(
             "unsnap_spool_workers_live",
             "gauge",

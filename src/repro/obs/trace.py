@@ -272,13 +272,17 @@ class SpanExporter:
         *,
         context: TraceContext | None = None,
         attrs: dict | None = None,
+        start: float | None = None,
     ) -> Iterator[_Span]:
         """Time a block as one span; spans/phases opened inside (same
         thread) become its children.  The span is written on exit even when
-        the block raises (with an ``error`` attribute naming the type)."""
+        the block raises (with an ``error`` attribute naming the type).
+        ``start`` backdates the span to an instant already recorded (so it
+        abuts the span that ended there); default: now."""
         trace_id, parent_id = self._resolve(context)
         span = _Span(
-            trace_id, new_span_id(), parent_id, name, _now(),
+            trace_id, new_span_id(), parent_id, name,
+            _now() if start is None else float(start),
             {**self.attrs, **(attrs or {})},
         )
         stack = self._stack()

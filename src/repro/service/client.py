@@ -12,6 +12,7 @@ fields on a 400).
 from __future__ import annotations
 
 import json
+import time
 from http.client import HTTPConnection
 from typing import Iterator
 
@@ -113,17 +114,26 @@ class ServiceClient:
         return self._request("DELETE", f"/jobs/{job_id}")
 
     def wait(self, job_id: int, timeout: float = 60.0, poll: float = 0.05) -> dict:
-        """Poll ``GET /jobs/{id}`` until the job is terminal."""
-        import time
+        """Long-poll ``GET /jobs/{id}?wait=`` until the job is terminal.
 
+        Each request asks the gateway to hold it until the job finishes,
+        for at most the rest of ``timeout`` (and half the connection
+        timeout), so the answer comes as the job ends rather than at the
+        next poll.  ``poll`` is the pause before asking again when an
+        answer comes back non-terminal before the hold ran out.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            job = self.job(job_id)
+            asked = time.monotonic()
+            hold = max(0.0, min(deadline - asked, self.timeout / 2))
+            job = self._request("GET", f"/jobs/{job_id}?wait={hold:.3f}")
             if job["state"] in ("done", "failed", "cancelled"):
                 return job
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise TimeoutError(f"job {job_id} still {job['state']!r} after {timeout}s")
-            time.sleep(poll)
+            if now - asked < hold:
+                time.sleep(poll)
 
     def progress(
         self, job_id: int, interval: float = 0.1, timeout: float = 60.0

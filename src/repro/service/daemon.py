@@ -37,6 +37,7 @@ import os
 import threading
 import time
 from collections import deque
+from pathlib import Path
 from typing import Callable
 
 from ..campaign.backends import get_backend, iter_backend_results
@@ -380,11 +381,7 @@ class ServiceDaemon:
         registry = MetricsRegistry()
         registry.add_source(lambda: service_metrics(self.stats()))
         registry.add_source(lambda: telemetry_metrics(self.telemetry))
-        spool_root = (
-            getattr(self.backend, "spool_dir", None)
-            or os.environ.get("UNSNAP_SPOOL_DIR", "").strip()
-            or None
-        )
+        spool_root = self._spool_root()
         if spool_root:
 
             def spool_source():
@@ -394,6 +391,29 @@ class ServiceDaemon:
 
             registry.add_source(spool_source)
         return registry.render()
+
+    def _spool_root(self) -> str | None:
+        """The spool the backend runs on, or ``UNSNAP_SPOOL_DIR`` (``None``: neither)."""
+        return (
+            getattr(self.backend, "spool_dir", None)
+            or os.environ.get("UNSNAP_SPOOL_DIR", "").strip()
+            or None
+        )
+
+    def _spool_writes_our_store(self) -> bool:
+        """Whether executions run on spool workers whose shared store is ours.
+
+        Then (``--backend distributed --store SPOOL/store``) the worker has
+        written each executed record, flux included, before the job ends.
+        """
+        if self.store is None or self._execute != self._execute_via_backend:
+            return False
+        if not hasattr(self.backend, "spool_dir"):
+            return False  # not a spool backend: UNSNAP_SPOOL_DIR is only observed
+        root = self._spool_root()
+        return root is not None and (
+            (Path(root) / "store").resolve() == self.store.root.resolve()
+        )
 
     # ---------------------------------------------------------- execution
     def _execute_via_backend(self, job: Job) -> RunResult:
@@ -424,7 +444,9 @@ class ServiceDaemon:
         execution contract cannot pass arguments through (the distributed
         coordinator) can stamp their spool payloads; with an exporter
         attached the execution itself becomes a ``service.execute`` span
-        and the job's live telemetry phases become its children.
+        and the job's live telemetry phases become its children.  The span
+        starts where ``service.queue`` ended (the dequeue), so the dedup
+        probe between them is inside a span rather than a gap in the trace.
         """
         context = TraceContext.from_dict(job.trace) if job.trace else None
         if context is None:
@@ -438,6 +460,7 @@ class ServiceDaemon:
             "service.execute",
             context=context,
             attrs={"job_id": job.id, "backend": self.backend_name},
+            start=job.started_at,
         ) as span:
             if job.telemetry is not None:
                 job.telemetry.attach_exporter(self.trace_exporter, span.context())
@@ -472,7 +495,7 @@ class ServiceDaemon:
                 self.trace_exporter.emit(
                     "service.queue",
                     start=job.submitted_at,
-                    end=time.time(),
+                    end=job.started_at,
                     context=TraceContext.from_dict(job.trace),
                     attrs={"job_id": job.id},
                 )
@@ -495,7 +518,14 @@ class ServiceDaemon:
                 # must fail its job, never the worker thread
                 self._complete(job, FAILED, error=f"{type(exc).__name__}: {exc}")
             else:
-                if self.store is not None:
+                # A spool worker sharing this store already wrote the full
+                # record; only a flux-less job still rewrites it.  Any other
+                # writer's record is overwritten, as it may lack the flux.
+                if self.store is not None and not (
+                    job.keep_flux
+                    and self._spool_writes_our_store()
+                    and self.store.contains(job.key)
+                ):
                     self.store.put(
                         job.spec, result, job.run_options, include_flux=job.keep_flux
                     )

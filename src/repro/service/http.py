@@ -15,6 +15,10 @@ POST   ``/jobs``                    Submit a run: ``{"deck": "..."}`` or
                                     large.
 GET    ``/jobs``                    List the retained jobs (id, state, key).
 GET    ``/jobs/{id}``               Job status + result summary (404 unknown).
+                                    ``?wait=SECONDS`` long-polls: the answer
+                                    comes when the job is terminal or after
+                                    ``SECONDS`` (capped at 30), whichever is
+                                    first; structured 400 on a bad value.
 GET    ``/jobs/{id}/progress``      Stream ``application/x-ndjson`` snapshots
                                     (state + telemetry phases/counters) until
                                     the job is terminal.
@@ -44,9 +48,11 @@ maps to a 400 whose body carries the stable ``key``/``section``/
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs
 
 from ..config import ProblemSpec
 from ..input_deck import UnknownDeckKeyError, loads as load_deck
@@ -69,6 +75,9 @@ _MIN_INTERVAL, _MAX_INTERVAL, _DEFAULT_INTERVAL = 0.02, 5.0, 0.25
 #: Progress-stream duration ceiling: the stream ends with a ``"timeout"``
 #: marker line if the job is still not terminal (clients re-attach).
 _DEFAULT_STREAM_TIMEOUT = 300.0
+#: Longest ``GET /jobs/{id}?wait=`` hold; a longer wait answers at the cap
+#: with the job's current state (clients ask again).
+_MAX_LONG_POLL = 30.0
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -136,6 +145,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str, **fields) -> None:
         self._send_json(status, {"error": message, **fields})
 
+    def _query(self) -> dict[str, str]:
+        """The request's query parameters; a repeated one keeps its last value."""
+        query = self.path.split("?", 1)[1] if "?" in self.path else ""
+        return {
+            name: values[-1]
+            for name, values in parse_qs(query, keep_blank_values=True).items()
+        }
+
     # -------------------------------------------------------------- routes
     def do_GET(self) -> None:  # http.server API name
         try:
@@ -173,7 +190,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             elif match := _PROGRESS_PATH.match(path):
                 self._stream_progress(int(match.group(1)))
             elif match := _JOB_PATH.match(path):
-                self._with_job(int(match.group(1)), lambda job: job.to_dict())
+                self._get_job(int(match.group(1)))
             else:
                 self._error(404, f"no such resource {path!r}")
         except ConnectionError:
@@ -236,6 +253,28 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return TraceContext.parse(header)
         except ValueError as exc:
             raise _RequestError(400, str(exc)) from None
+
+    def _get_job(self, job_id: int) -> None:
+        """``GET /jobs/{id}[?wait=SECONDS]``: the job body, once terminal
+        or once the (capped) wait runs out -- the same body either way."""
+        query = self._query()
+        if "wait" in query:
+            raw = query["wait"]
+            try:
+                wait = float(raw)
+            except ValueError:
+                wait = math.nan
+            if not 0.0 <= wait < math.inf:
+                self._error(
+                    400, f"'wait' must be a finite number of seconds >= 0, got {raw!r}",
+                    parameter="wait", value=raw,
+                )
+                return
+            try:
+                self.server.service.wait(job_id, timeout=min(wait, _MAX_LONG_POLL))
+            except (KeyError, TimeoutError):
+                pass  # unknown: the 404 below; not yet terminal: its state
+        self._with_job(job_id, lambda job: job.to_dict())
 
     def _with_job(self, job_id: int, view) -> None:
         try:
@@ -354,10 +393,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 pass  # not terminal yet: emit the next snapshot
 
     def _progress_params(self) -> tuple[float, float]:
-        query = self.path.split("?", 1)[1] if "?" in self.path else ""
-        params = dict(
-            part.split("=", 1) for part in query.split("&") if "=" in part
-        )
+        params = self._query()
         try:
             interval = float(params.get("interval", _DEFAULT_INTERVAL))
         except ValueError:

@@ -145,3 +145,26 @@ class TestStockSources:
         assert samples['unsnap_spool_worker_heartbeat_age_seconds{worker_id="w0"}'] == 0.5
         assert samples["unsnap_spool_workers_live"] == 1
         assert samples["unsnap_spool_stop_requested"] == 1
+
+    def test_spool_doorbells_by_role_tell_doorbell_mode_from_polling(self, tmp_path):
+        import socket
+
+        from repro.campaign.distributed import SpoolDir
+
+        spool = SpoolDir(tmp_path / "spool")
+        worker = spool.doorbell("worker")
+        coordinator = spool.doorbell("coordinator")
+        dead = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
+        dead.bind(str(spool.root / "bells" / "w-deadbeef"))
+        dead.close()  # a killed waiter's file: bound once, nobody behind it
+        try:
+            assert spool.status()["doorbells"] == {"worker": 1, "coordinator": 1}
+            samples = parse_exposition(render_metrics(spool_metrics(spool.status())))
+            assert samples['unsnap_spool_doorbells{role="worker"}'] == 1
+            assert samples['unsnap_spool_doorbells{role="coordinator"}'] == 1
+        finally:
+            worker.close()
+            coordinator.close()
+        samples = parse_exposition(render_metrics(spool_metrics(spool.status())))
+        assert samples['unsnap_spool_doorbells{role="worker"}'] == 0  # polling
+        assert samples['unsnap_spool_doorbells{role="coordinator"}'] == 0

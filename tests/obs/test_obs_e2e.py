@@ -41,6 +41,20 @@ class TestTracedDaemon:
         assert {s["trace_id"] for s in spans} == {job.trace["trace_id"]}
         assert orphan_names(spans) == []
 
+    def test_queue_and_execute_spans_abut_at_the_dequeue(self, tmp_path):
+        """The daemon's dedup probe sits between dequeue and execution; it
+        must fall inside a span, or a trace's layers stop summing to its
+        makespan (the ledger's ``service.trace_residual_pct``)."""
+        with SpanExporter(tmp_path / "svc.jsonl") as exporter:
+            with ServiceDaemon(
+                store=tmp_path / "store", backend="serial", workers=1,
+                trace_exporter=exporter,
+            ) as daemon:
+                job = daemon.wait(daemon.submit(SPEC).id, timeout=60)
+        spans = {s["name"]: s for s in read_spans(tmp_path / "svc.jsonl")}
+        assert spans["service.queue"]["end"] == job.started_at
+        assert spans["service.execute"]["start"] == job.started_at
+
     def test_concurrent_jobs_keep_separate_traces(self, tmp_path):
         """Two daemon workers tracing concurrently must not cross-file
         spans -- the regression the per-thread ambient context prevents."""

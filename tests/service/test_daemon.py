@@ -221,3 +221,85 @@ class TestStats:
             ServiceDaemon(max_queue_depth=0)
         with pytest.raises(ValueError, match="max_retained"):
             ServiceDaemon(max_retained=0)
+
+
+class TestSharedSpoolStore:
+    """``--backend distributed --store SPOOL/store``: the spool worker writes
+    the record, so a miss that keeps its flux costs one store write, not two."""
+
+    @pytest.mark.parametrize("keep_flux, writes", [(True, 1), (False, 2)])
+    def test_one_record_write_per_distributed_miss(
+        self, tiny_spec, tmp_path, monkeypatch, keep_flux, writes
+    ):
+        from repro.campaign.distributed import DistributedBackend, SpoolDir, SpoolWorker
+
+        spool = SpoolDir(tmp_path / "spool")
+        written = []
+        atomic_write = ResultStore._atomic_write
+
+        def counting(path, payload):
+            written.append(path.name)
+            atomic_write(path, payload)
+
+        monkeypatch.setattr(ResultStore, "_atomic_write", staticmethod(counting))
+        worker = SpoolWorker(spool, worker_id="w", poll_seconds=0.02, heartbeat_seconds=0.1)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        backend = DistributedBackend(spool_dir=spool.root, workers=0, poll_seconds=0.02)
+        try:
+            with ServiceDaemon(store=spool.root / "store", backend=backend, workers=1) as daemon:
+                job = daemon.wait(daemon.submit(tiny_spec, keep_flux=keep_flux).id, timeout=60)
+        finally:
+            spool.request_stop()
+            thread.join(timeout=10)
+        assert job.state == DONE and not job.cache_hit
+        assert written == [f"{job.key}.json"] * writes
+        record = ResultStore(spool.root / "store").get(tiny_spec)
+        assert (record.scalar_flux is not None) == keep_flux
+
+    def test_a_flux_less_record_from_another_writer_is_overwritten(
+        self, tiny_spec, tiny_result, tmp_path
+    ):
+        # Another writer on the shared store (say a second daemon that drops
+        # flux) lands a flux-less record while this job executes: the daemon
+        # did not run on a spool that writes its store, so it rewrites the
+        # full record, as it always did.
+        store = ResultStore(tmp_path / "store")
+        other = ResultStore(tmp_path / "store")
+
+        def execute(job):
+            other.put(job.spec, tiny_result, job.run_options, include_flux=False)
+            return tiny_result
+
+        with ServiceDaemon(store=store, executor=execute, workers=1) as daemon:
+            job = daemon.wait(daemon.submit(tiny_spec, keep_flux=True).id, timeout=60)
+        assert job.state == DONE and not job.cache_hit
+        assert store.get(tiny_spec).scalar_flux is not None
+
+    def test_a_spool_with_another_store_still_gets_the_daemon_write(
+        self, tiny_spec, tmp_path, monkeypatch
+    ):
+        from repro.campaign.distributed import DistributedBackend, SpoolDir, SpoolWorker
+
+        spool = SpoolDir(tmp_path / "spool")
+        written = []
+        atomic_write = ResultStore._atomic_write
+
+        def counting(path, payload):
+            written.append(path.parent.name)
+            atomic_write(path, payload)
+
+        monkeypatch.setattr(ResultStore, "_atomic_write", staticmethod(counting))
+        worker = SpoolWorker(spool, worker_id="w", poll_seconds=0.02, heartbeat_seconds=0.1)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        backend = DistributedBackend(spool_dir=spool.root, workers=0, poll_seconds=0.02)
+        try:
+            with ServiceDaemon(store=tmp_path / "mine", backend=backend, workers=1) as daemon:
+                job = daemon.wait(daemon.submit(tiny_spec).id, timeout=60)
+        finally:
+            spool.request_stop()
+            thread.join(timeout=10)
+        assert job.state == DONE
+        assert written == ["store", "mine"]  # the worker's record, then the daemon's
+        assert ResultStore(tmp_path / "mine").get(tiny_spec).scalar_flux is not None

@@ -1,7 +1,15 @@
 """The HTTP gateway and client: the wire contract end to end."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
+from http.client import HTTPException
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +22,9 @@ from repro.service import (
 )
 
 DECK = "nx=2 ny=2 nz=2 ng=2 nang=1 iitm=1 oitm=1"
+#: About a second of solve: long enough to still be running at a SIGINT.
+SLOW_DECK = "nx=6 ny=6 nz=6 ng=4 nang=2 iitm=5 oitm=1 engine=vectorized"
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture()
@@ -208,3 +219,128 @@ class TestProcessBackend:
             server.shutdown()
             server.server_close()
             daemon.shutdown()
+
+
+@pytest.fixture()
+def blocked_gateway(tiny_result, blocking_executor_cls):
+    """A gateway whose one worker parks every job until ``release`` is set."""
+    executor = blocking_executor_cls(tiny_result)
+    daemon = ServiceDaemon(workers=1, executor=executor)
+    daemon.start()
+    server = make_server(daemon, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield ServiceClient(port=server.port), executor
+    finally:
+        executor.release.set()
+        server.shutdown()
+        server.server_close()
+        daemon.shutdown()
+        thread.join(timeout=5)
+
+
+class TestLongPoll:
+    def test_wait_answers_as_the_job_finishes(self, blocked_gateway, tiny_spec):
+        client, executor = blocked_gateway
+        job_id = client.submit(spec=tiny_spec.to_dict())["id"]
+        assert executor.started.wait(timeout=10.0)
+        answer = {}
+
+        def long_poll():
+            answer["job"] = client._request("GET", f"/jobs/{job_id}?wait=20")
+            answer["at"] = time.monotonic()
+
+        poller = threading.Thread(target=long_poll)
+        poller.start()
+        time.sleep(0.3)
+        assert poller.is_alive()  # held open while the job runs
+        released = time.monotonic()
+        executor.release.set()
+        poller.join(timeout=10.0)
+        assert answer["job"]["state"] == DONE
+        assert answer["at"] - released < 0.1  # the finish, not a poll period
+
+    def test_wait_timeout_returns_the_current_state(self, blocked_gateway, tiny_spec):
+        client, executor = blocked_gateway
+        job_id = client.submit(spec=tiny_spec.to_dict())["id"]
+        assert executor.started.wait(timeout=10.0)
+        began = time.monotonic()
+        body = client._request("GET", f"/jobs/{job_id}?wait=0.2")
+        assert 0.2 <= time.monotonic() - began < 5.0
+        assert body["state"] == "running"
+        assert set(body) == set(client.job(job_id))  # the same body shape
+
+    def test_wait_is_capped_server_side(self, blocked_gateway, tiny_spec, monkeypatch):
+        from repro.service import http as service_http
+
+        monkeypatch.setattr(service_http, "_MAX_LONG_POLL", 0.2)
+        client, executor = blocked_gateway
+        job_id = client.submit(spec=tiny_spec.to_dict())["id"]
+        began = time.monotonic()
+        assert client._request("GET", f"/jobs/{job_id}?wait=600")["state"] == "running"
+        assert time.monotonic() - began < 5.0
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "nan", "inf", ""])
+    def test_bad_wait_structured_400(self, client, raw):
+        job_id = client.submit(deck=DECK)["id"]
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/jobs/{job_id}?wait={raw}")
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["parameter"] == "wait"
+        assert excinfo.value.payload["value"] == raw
+
+    def test_wait_on_unknown_job_404(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", "/jobs/999?wait=1")
+        assert excinfo.value.status == 404
+
+    def test_client_wait_is_one_request_per_job(self, blocked_gateway, tiny_spec, monkeypatch):
+        client, executor = blocked_gateway
+        job_id = client.submit(spec=tiny_spec.to_dict())["id"]
+        paths = []
+        request = client._request
+
+        def counted(method, path, *args, **kwargs):
+            paths.append(path)
+            return request(method, path, *args, **kwargs)
+
+        monkeypatch.setattr(client, "_request", counted)
+        threading.Timer(0.3, executor.release.set).start()
+        assert client.wait(job_id, timeout=30.0)["state"] == DONE
+        assert len(paths) == 1 and "?wait=" in paths[0]
+
+    def test_sigint_with_a_long_poll_in_flight_exits_zero(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH", "")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--jobs", "1",
+             "--store", str(tmp_path / "store")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            match = re.search(r"http://([\d.]+):(\d+)", proc.stdout.readline())
+            assert match
+            client = ServiceClient(match.group(1), int(match.group(2)))
+            job_id = client.submit(deck=SLOW_DECK)["id"]
+            outcome = []
+
+            def long_poll():
+                try:
+                    outcome.append(client._request("GET", f"/jobs/{job_id}?wait=30"))
+                except (OSError, HTTPException) as exc:
+                    outcome.append(exc)  # the process exited mid-answer
+
+            poller = threading.Thread(target=long_poll, daemon=True)
+            poller.start()
+            time.sleep(0.3)
+            assert poller.is_alive()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) == 0
+            assert "shut down cleanly" in proc.stdout.read()
+            poller.join(timeout=10)
+            assert len(outcome) == 1
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
