@@ -14,7 +14,6 @@ __all__ = [
     "format_scaling_series",
     "format_verification_report",
     "format_bench_report",
-    "format_bench_comparison",
 ]
 
 
@@ -179,8 +178,7 @@ def format_bench_report(report) -> str:
     sections.append(
         f"benchmark workload ({tier} tier): {workload.n}^3 cells, "
         f"{8 * workload.angles_per_octant} angles, {workload.num_groups} groups, "
-        f"{workload.sweeps} sweeps, {workload.warmup} warmup + "
-        f"{workload.repeats} repeats"
+        f"{workload.warmup} warmup + {workload.repeats} repeats"
     )
     for case in report.cases:
         rows = [
@@ -206,50 +204,3 @@ def format_bench_report(report) -> str:
             )
         )
     return "\n\n".join(sections)
-
-
-def format_bench_comparison(comparison) -> str:
-    """Render a :class:`repro.bench.BenchComparison` with per-sample verdicts."""
-    rows = [
-        (
-            entry.case,
-            entry.sample,
-            entry.baseline_seconds,
-            entry.current_seconds,
-            f"{entry.speedup:.2f}x",
-            entry.verdict.upper(),
-        )
-        for entry in comparison.entries
-    ]
-    lines = [
-        format_table(
-            ("case", "sample", "baseline s", "current s", "speedup", "verdict"),
-            rows,
-            title=f"Benchmark comparison (slowdown tolerance "
-            f"{100 * comparison.tolerance:.0f}%)",
-        )
-    ]
-    if comparison.missing:
-        lines.append(
-            "not measured this run: "
-            + ", ".join(f"{case}/{sample}" for case, sample in comparison.missing)
-        )
-    if comparison.new:
-        lines.append(
-            "new samples (no baseline): "
-            + ", ".join(f"{case}/{sample}" for case, sample in comparison.new)
-        )
-    if not comparison.workload_match:
-        lines.append(
-            "WARNING: the reports measured different workloads (problem sizes "
-            "differ) -- wall clocks are not comparable, verdicts are advisory "
-            "and never fail the regression gate"
-        )
-    if not getattr(comparison, "machine_match", True):
-        lines.append(
-            "WARNING: the reports carry different machine fingerprints "
-            "(hardware/runtime differ) -- expect wall-clock noise; this is "
-            "advisory and never fails the regression gate"
-        )
-    lines.append(f"comparison verdict: {comparison.verdict.upper()}")
-    return "\n\n".join(lines)

@@ -1,68 +1,46 @@
-"""The benchmark & telemetry subsystem.
+"""The paper-reproduction benchmark runner (``unsnap bench``).
 
-Mirrors :mod:`repro.verify` (machine-checked correctness) with the
-machine-checked *performance* story the paper's claims rest on:
-
-* a **benchmark-case registry** -- the fourth
-  :class:`repro.registry.Registry` instantiation
-  (:func:`register_benchmark`; built-in cases in :mod:`.cases` replace the
-  old hand-rolled ``benchmarks/bench_*.py`` measurement bodies), each case a
-  tagged measurement closure over the shared shrinkable
-  :class:`BenchWorkload`;
-* **phase-level telemetry** (:mod:`repro.telemetry`, re-exported here) --
-  the :class:`Telemetry` instrument threaded through ``repro.run`` down to
-  the sweep executor, recording per-phase wall time and counters with zero
-  overhead when disabled;
-* a **unified report format** (``unsnap-bench-v1``,
-  :class:`~repro.bench.report.BenchReport` with ``load``/``save``/
-  ``compare``) whose run-to-run comparison is the regression gate behind
-  ``unsnap bench --compare [--fail-on-regress]``; and
-* the **measured-vs-model overlay** (:mod:`.model`) connecting measured
-  sweep times to the :mod:`repro.perfmodel` roofline prediction.
+One registered case per experiment of the paper's evaluation (Table I,
+Table II, Figures 3-4, the block-Jacobi rank sweep, the FD-vs-FEM
+trade-off, plus the distributed backend's overhead), each run on one of two
+workload tiers -- full or ``--smoke`` -- and written as a JSON artefact with
+``--json``.  Speed claims are judged by the performance ledger
+(``ledger/``, ``BENCHMARK.json``), which is the only comparator.
 
 Usage::
 
     from repro.bench import run_benchmarks
 
-    report = run_benchmarks(["kernel"], smoke=True)
+    report = run_benchmarks(["table2"], smoke=True)
     report.save("bench.json")
-    comparison = report.compare(BenchReport.load("baseline.json"))
-    assert comparison.passed
+
+``import repro`` does not import this package; it loads on first use.
 """
 
-from ..telemetry import PhaseTimer, Telemetry
 from . import cases as _cases  # noqa: F401  -- registers the built-in cases
-from . import model as _model  # noqa: F401  -- registers the overlay case
-from .registry import (
-    BenchCase,
+from .suite import (
+    FULL,
+    SMOKE,
+    BenchReport,
+    BenchWorkload,
+    CaseReport,
+    SampleStats,
     available_benchmarks,
-    available_tags,
     benchmark_listing,
     get_benchmark,
     register_benchmark,
+    run_benchmarks,
+    run_case,
     select_benchmarks,
 )
-from .report import (
-    BenchComparison,
-    BenchReport,
-    CaseReport,
-    SampleStats,
-    compare_reports,
-    machine_fingerprint,
-)
-from .suite import run_benchmarks, run_case
-from .trend import build_trend, format_trend, load_trend_reports
-from .workload import BenchWorkload
 
 __all__ = [
-    "Telemetry",
-    "PhaseTimer",
     "BenchWorkload",
-    "BenchCase",
+    "FULL",
+    "SMOKE",
     "register_benchmark",
     "get_benchmark",
     "available_benchmarks",
-    "available_tags",
     "benchmark_listing",
     "select_benchmarks",
     "run_benchmarks",
@@ -70,10 +48,4 @@ __all__ = [
     "BenchReport",
     "CaseReport",
     "SampleStats",
-    "BenchComparison",
-    "compare_reports",
-    "machine_fingerprint",
-    "load_trend_reports",
-    "build_trend",
-    "format_trend",
 ]

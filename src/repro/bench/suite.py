@@ -1,51 +1,321 @@
-"""The benchmark suite runner: ``repro.bench.run_benchmarks()``.
+"""The benchmark runner: case registry, workload tiers, report and suite.
 
-Mirrors :func:`repro.verify.run_suite`: one call that discovers the
-registered cases (optionally narrowed by name/alias/tag filters), applies
-the measurement policy (warmup invocations discarded, repeat statistics
-collected) and returns a :class:`~repro.bench.report.BenchReport` in the
-``unsnap-bench-v1`` schema.  ``unsnap bench`` and the CI benchmark job are
-thin wrappers over this.
+A benchmark case is a function ``case(workload) -> {sample: {metrics}}``
+registered through :meth:`repro.registry.Registry.register` (the same
+decorator as engines, backends and drivers) plus a tuple of tags::
+
+    from repro.bench import register_benchmark
+
+    @register_benchmark("my-setup", tags=("setup",))
+    def bench_my_setup(workload):
+        '''Time my set-up on the shared workload.'''
+        t0 = time.perf_counter()
+        ...
+        return {"my-setup": {"seconds": time.perf_counter() - t0}}
+
+Every metrics dict must carry ``"seconds"``; further entries (counts,
+ratios, fluxes) ride along into the report.  :func:`run_benchmarks`
+invokes each selected case ``warmup + repeats`` times on one of two
+workload tiers (:data:`FULL`, :data:`SMOKE`) and returns a
+:class:`BenchReport` whose ``save`` writes the JSON artefact CI archives.
+Speed claims are judged by the performance ledger (``ledger/``), not by
+comparing these reports.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+import subprocess
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable
 
-from .model import MODEL_CASE
-from .registry import BenchCase, select_benchmarks
-from .report import BenchReport, CaseReport, SampleStats, git_info, machine_info
-from .workload import BenchWorkload
+from ..registry import Registry
 
-__all__ = ["run_benchmarks", "run_case"]
+__all__ = [
+    "BenchWorkload",
+    "FULL",
+    "SMOKE",
+    "register_benchmark",
+    "get_benchmark",
+    "available_benchmarks",
+    "benchmark_listing",
+    "select_benchmarks",
+    "SampleStats",
+    "CaseReport",
+    "BenchReport",
+    "run_case",
+    "run_benchmarks",
+]
+
+#: Format marker written into every report.
+FORMAT = "unsnap-bench-v1"
 
 
-def run_case(case: BenchCase, workload: BenchWorkload) -> CaseReport:
+# ------------------------------------------------------------------ workload
+@dataclass(frozen=True)
+class BenchWorkload:
+    """Problem sizes and measurement policy shared by all benchmark cases.
+
+    ``n`` is the cells per axis of the main cubic grid (cases derive their
+    own grids from it), ``jobs`` the worker count of the distributed case;
+    every case is invoked ``warmup + repeats`` times and the first
+    ``warmup`` invocations are discarded.
+    """
+
+    n: int = 8
+    angles_per_octant: int = 2
+    num_groups: int = 8
+    jobs: int = 4
+    repeats: int = 2
+    warmup: int = 1
+    smoke: bool = False
+
+    def __post_init__(self) -> None:
+        if min(self.n, self.angles_per_octant, self.num_groups, self.jobs, self.repeats) < 1:
+            raise ValueError("workload sizes and repeats must be >= 1")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
+
+    def with_(self, **changes) -> "BenchWorkload":
+        """Return a copy with the given fields replaced."""
+        return replace(self, **changes)
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+
+#: The full tier (nightly): the 8^3 / 16-angle / 8-group workload.
+FULL = BenchWorkload()
+#: The smoke tier (``--smoke``, per-PR CI): every case in seconds.
+SMOKE = BenchWorkload(
+    n=3, angles_per_octant=1, num_groups=2, jobs=2, repeats=1, warmup=0, smoke=True
+)
+
+
+# ------------------------------------------------------------------ registry
+_benchmarks: Registry = Registry("benchmark", method="__call__")
+
+
+def register_benchmark(
+    name: str,
+    *,
+    tags: tuple[str, ...] = (),
+    aliases: tuple[str, ...] = (),
+    overwrite: bool = False,
+):
+    """Function decorator: :meth:`Registry.register` plus the case's ``tags``."""
+
+    def decorate(func: Callable) -> Callable:
+        func.tags = tuple(tag.strip().lower() for tag in tags)
+        return _benchmarks.register(name, aliases=aliases, overwrite=overwrite)(func)
+
+    return decorate
+
+
+#: Look up a registered case by canonical name or alias.
+get_benchmark = _benchmarks.resolve
+#: Sorted canonical names of every registered benchmark case.
+available_benchmarks = _benchmarks.available
+
+
+def benchmark_listing() -> list[tuple[str, str, str]]:
+    """``(name, comma-joined tags, description)`` rows for ``unsnap bench --list``."""
+    return [
+        (name, ", ".join(_benchmarks.resolve(name).tags), desc)
+        for name, _aliases, desc in _benchmarks.listing()
+    ]
+
+
+def select_benchmarks(filters=None) -> list[Callable]:
+    """Resolve ``--filter`` values (names, aliases or tags) to cases.
+
+    With no filters every registered case is returned (in name order).  Each
+    filter selects the case registered under that name or alias plus every
+    case carrying it as a tag; a filter matching nothing raises ``KeyError``
+    naming the valid choices.
+    """
+    cases = [_benchmarks.resolve(name) for name in _benchmarks.available()]
+    if not filters:
+        return cases
+    selected: set[str] = set()
+    for raw in filters:
+        token = raw.strip().lower()
+        matches = {case.name for case in cases if token in case.tags}
+        if token in _benchmarks:
+            matches.add(_benchmarks.canonical(token))
+        if not matches:
+            tags = sorted({tag for case in cases for tag in case.tags})
+            raise KeyError(
+                f"unknown benchmark filter {raw!r}; cases: {available_benchmarks()}, "
+                f"tags: {tags}"
+            )
+        selected |= matches
+    return [case for case in cases if case.name in selected]
+
+
+# -------------------------------------------------------------------- report
+@dataclass(frozen=True)
+class SampleStats:
+    """Statistics of one named sample over the measured repeats."""
+
+    name: str
+    seconds: tuple[float, ...]
+    metrics: dict = field(default_factory=dict)
+
+    @property
+    def best(self) -> float:
+        return min(self.seconds)
+
+    @property
+    def mean(self) -> float:
+        return sum(self.seconds) / len(self.seconds)
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "seconds": list(self.seconds),
+            "best": self.best,
+            "mean": self.mean,
+            "max": max(self.seconds),
+            "metrics": dict(self.metrics),
+        }
+
+
+@dataclass(frozen=True)
+class CaseReport:
+    """All samples of one benchmark case."""
+
+    name: str
+    tags: tuple[str, ...]
+    samples: tuple[SampleStats, ...]
+    warmup: int = 0
+    repeats: int = 1
+
+    def sample(self, name: str) -> SampleStats:
+        for sample in self.samples:
+            if sample.name == name:
+                return sample
+        raise KeyError(f"case {self.name!r} has no sample {name!r}")
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "tags": list(self.tags),
+            "warmup": self.warmup,
+            "repeats": self.repeats,
+            "samples": [sample.to_dict() for sample in self.samples],
+        }
+
+
+@dataclass(frozen=True)
+class BenchReport:
+    """One benchmark run: the workload, where it ran and every case's samples."""
+
+    cases: tuple[CaseReport, ...]
+    workload: BenchWorkload = FULL
+    machine: dict = field(default_factory=dict)
+    git: dict | None = None
+
+    def case(self, name: str) -> CaseReport:
+        for case in self.cases:
+            if case.name == name:
+                return case
+        raise KeyError(f"report has no case {name!r}; cases: {[c.name for c in self.cases]}")
+
+    def to_dict(self) -> dict:
+        return {
+            "format": FORMAT,
+            "machine": dict(self.machine),
+            "git": self.git,
+            "workload": self.workload.to_dict(),
+            "cases": [case.to_dict() for case in self.cases],
+        }
+
+    def save(self, path: str | Path) -> Path:
+        """Write the report as pretty JSON (trailing newline, diff-friendly)."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        return path
+
+
+def machine_info() -> dict:
+    """Best-effort description of the measuring machine."""
+    import numpy as np
+
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def git_info() -> dict | None:
+    """Current commit/branch/dirty flag, or ``None`` outside a checkout."""
+
+    def _git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, timeout=10,
+        ).stdout.strip()
+
+    try:
+        commit = _git("rev-parse", "HEAD")
+        if not commit:
+            return None
+        return {
+            "commit": commit,
+            "branch": _git("rev-parse", "--abbrev-ref", "HEAD"),
+            "dirty": bool(_git("status", "--porcelain")),
+        }
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+# --------------------------------------------------------------------- suite
+def _measure(case: Callable, workload: BenchWorkload) -> dict[str, dict]:
+    """Invoke a case once and validate its ``{sample: {"seconds": ...}}`` shape."""
+    samples = case(workload)
+    if not isinstance(samples, dict) or not samples:
+        raise TypeError(
+            f"benchmark {case.name!r} must return a non-empty dict of "
+            f"sample -> metrics, got {type(samples).__name__}"
+        )
+    for sample, metrics in samples.items():
+        if not isinstance(metrics, dict) or not metrics.get("seconds", -1.0) >= 0.0:
+            raise TypeError(
+                f"benchmark {case.name!r} sample {sample!r} must be a dict "
+                f"with a non-negative 'seconds' entry, got {metrics!r}"
+            )
+    return samples
+
+
+def run_case(case: Callable, workload: BenchWorkload) -> CaseReport:
     """Measure one case under the workload's warmup/repeat policy.
 
-    The closure is invoked ``workload.warmup + workload.repeats`` times; the
-    warmup invocations are discarded, the rest contribute one wall-clock
+    The warmup invocations are discarded; the rest contribute one wall-clock
     sample each.  Non-timing metrics are taken from the final invocation
     (they describe the workload, not the noise).
     """
     for _ in range(workload.warmup):
-        case.run(workload)
+        _measure(case, workload)
     seconds: dict[str, list[float]] = {}
     metrics: dict[str, dict] = {}
-    order: list[str] = []
     for _ in range(workload.repeats):
-        for name, sample in case.run(workload).items():
-            if name not in seconds:
-                seconds[name] = []
-                order.append(name)
-            seconds[name].append(float(sample["seconds"]))
+        for name, sample in _measure(case, workload).items():
+            seconds.setdefault(name, []).append(float(sample["seconds"]))
             metrics[name] = {k: v for k, v in sample.items() if k != "seconds"}
     return CaseReport(
         name=case.name,
         tags=case.tags,
         samples=tuple(
-            SampleStats(name=name, seconds=tuple(seconds[name]), metrics=metrics[name])
-            for name in order
+            SampleStats(name=name, seconds=tuple(values), metrics=metrics[name])
+            for name, values in seconds.items()
         ),
         warmup=workload.warmup,
         repeats=workload.repeats,
@@ -57,46 +327,21 @@ def run_benchmarks(
     *,
     smoke: bool = False,
     workload: BenchWorkload | None = None,
-    against_model: bool = False,
     progress: Callable[[str], None] | None = None,
 ) -> BenchReport:
-    """Run the selected benchmark cases and return the combined report.
+    """Run the selected cases (all by default) and return the combined report.
 
-    Parameters
-    ----------
-    filters:
-        Case names, aliases or tags (``unsnap bench --filter``); ``None``
-        runs every registered case except the measured-vs-model overlay.
-    smoke:
-        Use the shrunken smoke-tier workload (CI's per-PR budget).
-    workload:
-        Explicit workload override; default is
-        :meth:`BenchWorkload.from_env(smoke=smoke)
-        <repro.bench.workload.BenchWorkload.from_env>`.
-    against_model:
-        Also run the ``sweep-vs-model`` overlay case
-        (:mod:`repro.bench.model`), which is excluded from unfiltered runs.
-    progress:
-        Optional callable receiving one line per started case (the CLI's
-        live feedback).
+    ``filters`` are case names, aliases or tags (``unsnap bench --filter``);
+    ``workload`` overrides the tier ``smoke`` picks; ``progress`` receives
+    one line per started case.
     """
     if workload is None:
-        workload = BenchWorkload.from_env(smoke=smoke)
-    cases = select_benchmarks(filters)
-    if not filters and not against_model:
-        # The model overlay duplicates the engine measurements; it runs only
-        # on request (--against-model) or through an explicit filter.
-        cases = [case for case in cases if "model" not in case.tags]
-    if against_model and all(case.name != MODEL_CASE for case in cases):
-        cases = [*cases, select_benchmarks([MODEL_CASE])[0]]
+        workload = SMOKE if smoke else FULL
     reports = []
-    for case in cases:
+    for case in select_benchmarks(filters):
         if progress is not None:
             progress(f"bench {case.name} [{', '.join(case.tags)}]")
         reports.append(run_case(case, workload))
     return BenchReport(
-        cases=tuple(reports),
-        workload=workload,
-        machine=machine_info(),
-        git=git_info(),
+        cases=tuple(reports), workload=workload, machine=machine_info(), git=git_info()
     )

@@ -37,7 +37,7 @@ from .backends import (
     register_backend,
     unregister_backend,
 )
-from .distributed import DistributedBackend, SpoolDir, SpoolWorker, SshLauncher
+from .distributed import DistributedBackend, SpoolDir, SpoolWorker
 from .result import PivotTable, StudyResult, StudyRun
 from .runner import run_study
 from .store import ResultStore, run_key
@@ -70,6 +70,5 @@ __all__ = [
     "DistributedBackend",
     "SpoolDir",
     "SpoolWorker",
-    "SshLauncher",
     "RUN_OPTION_KEYS",
 ]

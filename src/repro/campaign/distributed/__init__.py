@@ -9,10 +9,10 @@ payloads out to worker processes -- on this machine or any number of others
 
 * the coordinator publishes one claimable job file per point (largest
   cost first, so cubic stragglers dispatch before cheap linear points);
-* workers (``unsnap worker SPOOL_DIR``, local or started remotely by the
-  :class:`~repro.campaign.distributed.launcher.SshLauncher`) claim jobs by
-  **atomic rename** -- exactly one winner per job, no locks; an advisory
-  doorbell socket per waiter only shortens the wait for the next look;
+* workers (``unsnap worker SPOOL_DIR``, local or started by hand on any
+  host that mounts the spool) claim jobs by **atomic rename** -- exactly
+  one winner per job, no locks; an advisory doorbell socket per waiter
+  only shortens the wait for the next look;
 * every worker maintains a heartbeat file; the coordinator re-queues the
   claims of dead or stalled workers once their lease expires (work
   stealing), so a killed worker's points are re-executed elsewhere;
@@ -28,13 +28,11 @@ reach poll.
 """
 
 from .coordinator import DistributedBackend
-from .launcher import SshLauncher
 from .spool import SpoolClaim, SpoolDir
 from .worker import SpoolWorker, run_worker
 
 __all__ = [
     "DistributedBackend",
-    "SshLauncher",
     "SpoolClaim",
     "SpoolDir",
     "SpoolWorker",

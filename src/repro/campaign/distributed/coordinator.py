@@ -16,13 +16,11 @@ WorkItem`\\ s into spool jobs and streams completions back through the
   with its attempt counter bumped; a job found in neither ``jobs/`` nor
   ``claims/`` nor ``done/`` (e.g. quarantined as corrupt) is likewise
   republished from the coordinator's own copy of the work item;
-* **worker supply** -- with no live workers on the spool and no
-  ``launcher``, the coordinator spawns local ``unsnap worker``
-  subprocesses (``workers=N`` forces the count, ``workers=0`` forbids
-  spawning -- e.g. when external workers are expected); a
-  :class:`~repro.campaign.distributed.launcher.SshLauncher` starts them
-  on remote hosts instead.  Workers the coordinator started are drained
-  with the STOP marker when the campaign ends.
+* **worker supply** -- with no live workers on the spool, the coordinator
+  spawns local ``unsnap worker`` subprocesses (``workers=N`` forces the
+  count, ``workers=0`` forbids spawning -- e.g. when workers started by
+  hand on other hosts are expected).  Workers the coordinator started are
+  drained with the STOP marker when the campaign ends.
 
 Results are bit-for-bit identical to the ``serial`` backend: workers call
 the same :func:`repro.run` on the same specs and the store's JSON
@@ -132,10 +130,6 @@ class DistributedBackend:
         Local workers to spawn.  ``None``: spawn only when the spool has no
         live workers (count = ``jobs`` or {DEFAULT_WORKERS}); ``0``: never
         spawn (external workers expected); ``N``: always spawn N.
-    launcher:
-        Optional object with ``start(spool_dir) -> list[Popen]`` and
-        ``stop()`` (see :class:`~repro.campaign.distributed.launcher.
-        SshLauncher`) starting workers elsewhere; suppresses local spawns.
     max_attempts:
         Executions allowed per point before its failure is surfaced.
     timeout_seconds:
@@ -152,7 +146,6 @@ class DistributedBackend:
         lease_seconds: float | None = None,
         poll_seconds: float | None = None,
         workers: int | None = None,
-        launcher=None,
         max_attempts: int = 3,
         timeout_seconds: float | None = None,
         heartbeat_seconds: float | None = None,
@@ -162,7 +155,6 @@ class DistributedBackend:
         self.lease_seconds = lease_seconds
         self.poll_seconds = poll_seconds
         self.workers = workers
-        self.launcher = launcher
         self.max_attempts = int(max_attempts)
         self.timeout_seconds = timeout_seconds
         self.heartbeat_seconds = heartbeat_seconds
@@ -207,7 +199,6 @@ class DistributedBackend:
         store = spool.store
 
         procs: list[subprocess.Popen] = []
-        launched = False
         try:
             # A STOP left behind by a previous campaign would drain the
             # workers we are about to start; publishing work implies go.
@@ -244,7 +235,7 @@ class DistributedBackend:
                 )
                 self._incr("distributed.points_dispatched")
 
-            procs, launched = self._supply_workers(
+            procs = self._supply_workers(
                 spool,
                 lease=lease,
                 poll=poll,
@@ -263,7 +254,7 @@ class DistributedBackend:
                 trace=trace,
             )
         finally:
-            if procs or launched or temp_spool:
+            if procs or temp_spool:
                 spool.request_stop()
             for proc in procs:
                 try:
@@ -271,8 +262,6 @@ class DistributedBackend:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.wait(timeout=5.0)
-            if launched:
-                self.launcher.stop()
             if temp_spool:
                 shutil.rmtree(spool_root, ignore_errors=True)
 
@@ -290,22 +279,19 @@ class DistributedBackend:
         heartbeat: float,
         jobs: int | None,
         pending: int,
-    ) -> tuple[list[subprocess.Popen], bool]:
-        """Start workers per policy; returns (local procs, launcher used)."""
-        if self.launcher is not None:
-            self.launcher.start(spool.root)
-            return [], True
+    ) -> list[subprocess.Popen]:
+        """Start local workers per policy; returns the spawned processes."""
         requested = self.workers
         if requested is None:
             raw = os.environ.get(ENV_WORKERS, "").strip()
             requested = int(raw) if raw.isdigit() else None
         if requested is None:
             if spool.live_workers(lease):
-                return [], False  # external workers already serve this spool
+                return []  # external workers already serve this spool
             requested = min(jobs or DEFAULT_WORKERS, pending)
         count = min(int(requested), pending)
         if count <= 0:
-            return [], False
+            return []
         env = dict(os.environ)
         src_dir = str(Path(__file__).resolve().parents[3])
         parts = [src_dir, env.get("PYTHONPATH", "")]
@@ -320,7 +306,7 @@ class DistributedBackend:
             for _ in range(count)
         ]
         self._incr("distributed.workers_spawned", count)
-        return procs, False
+        return procs
 
     def _drain(
         self,

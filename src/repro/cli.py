@@ -46,12 +46,11 @@ Sub-commands
     ``--update-golden`` re-blesses the goldens, ``--json`` emits the full
     machine-readable report (the CI ``verify`` job archives it).
 ``bench``
-    Run the benchmark subsystem (:mod:`repro.bench`): registered benchmark
-    cases selected by ``--filter`` (name, alias or tag), shrunk to the CI
-    budget with ``--smoke``, written as an ``unsnap-bench-v1`` report with
-    ``--json PATH``, compared against a baseline report with ``--compare``
-    (``--fail-on-regress`` turns a confirmed slowdown into exit code 1) and
-    overlaid on the perfmodel roofline with ``--against-model``.
+    Run the paper-reproduction benchmark cases (:mod:`repro.bench`):
+    Table I/II, Figures 3-4, the block-Jacobi rank sweep, FD vs FEM and the
+    distributed overhead, selected by ``--filter`` (name, alias or tag),
+    shrunk to the CI budget with ``--smoke`` and written as a JSON artefact
+    with ``--json PATH``.  Speed claims are the ledger's (``ledger/``).
 ``store``
     Result-store maintenance: ``store gc DIR`` compacts a campaign
     :class:`~repro.campaign.ResultStore` (``--keep-latest N`` drops old
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser(
-        "bench", help="run the registered benchmark suite (repro.bench)"
+        "bench", help="run the paper-reproduction benchmark cases (repro.bench)"
     )
     bench.add_argument(
         "--filter", action="append", default=None, metavar="TAG_OR_NAME",
@@ -230,40 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--smoke", action="store_true",
-        help="shrink every case to the CI smoke budget (UNSNAP_BENCH_* "
-        "variables still override individual knobs)",
+        help="shrink every case to the CI smoke workload",
     )
     bench.add_argument(
         "--json", type=str, default=None, metavar="PATH",
-        help="write the unsnap-bench-v1 report to PATH",
-    )
-    bench.add_argument(
-        "--compare", type=str, default=None, metavar="BASELINE",
-        help="compare this run against a baseline unsnap-bench-v1 report",
-    )
-    bench.add_argument(
-        "--fail-on-regress", action="store_true",
-        help="exit 1 when --compare finds a sample beyond the slowdown "
-        "tolerance (default: report only)",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRACTION",
-        help="slowdown tolerance for --compare (default 0.25 = 25%%)",
-    )
-    bench.add_argument(
-        "--against-model", action="store_true",
-        help="also run the sweep-vs-model overlay: measured sweep times "
-        "against the perfmodel roofline prediction, with the model error",
+        help="write the samples as a JSON report to PATH",
     )
     bench.add_argument(
         "--list", action="store_true",
         help="list the registered benchmark cases (with tags) and exit",
-    )
-    bench.add_argument(
-        "--trend", type=str, default=None, metavar="DIR",
-        help="skip measuring: line up the per-case best seconds of every "
-        "unsnap-bench-v1 report in DIR as a time series (ordered by file "
-        "mtime; --json PATH writes the unsnap-bench-trend-v1 document)",
     )
 
     serve = sub.add_parser(
@@ -804,46 +778,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .analysis.reporting import format_bench_comparison, format_bench_report
-    from .bench import BenchReport, benchmark_listing, run_benchmarks
-    from .bench.report import DEFAULT_TOLERANCE
+    from .analysis.reporting import format_bench_report
+    from .bench import benchmark_listing, run_benchmarks
 
     if args.list:
         rows = benchmark_listing()
         print(format_table(("case", "tags", "description"), rows,
                            title="Registered benchmark cases"))
         return 0
-    if args.trend is not None:
-        from .bench.trend import build_trend, format_trend, load_trend_reports
-
-        try:
-            trend = build_trend(load_trend_reports(args.trend))
-        except ValueError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        print(format_trend(trend))
-        if args.json:
-            path = Path(args.json)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(trend, indent=2) + "\n")
-            print(f"\nwrote {path}")
-        return 0
-    if args.tolerance is not None and args.tolerance <= 0.0:
-        print("error: --tolerance must be a positive fraction", file=sys.stderr)
-        return 2
-    baseline = None
-    if args.compare is not None:
-        # Load the baseline *before* spending minutes measuring.
-        try:
-            baseline = BenchReport.load(args.compare)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         report = run_benchmarks(
             args.filter,
             smoke=args.smoke,
-            against_model=args.against_model,
             progress=lambda line: print(line, file=sys.stderr),
         )
     except KeyError as exc:
@@ -851,15 +797,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     print(format_bench_report(report))
     if args.json:
-        path = report.save(args.json)
-        print(f"\nwrote {path}")
-    if baseline is not None:
-        tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        comparison = report.compare(baseline, tolerance=tolerance)
-        print()
-        print(format_bench_comparison(comparison))
-        if args.fail_on_regress and not comparison.gate_passed:
-            return 1
+        print(f"\nwrote {report.save(args.json)}")
     return 0
 
 
@@ -913,8 +851,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
+        # Stop accepting, let the daemon finish its running jobs (which
+        # wakes every long-poll with a terminal body), then give the
+        # handler threads a bounded time to finish writing.
         server.server_close()
         daemon.shutdown()
+        server.drain(timeout=5.0)
         if exporter is not None:
             exporter.close()
     print("unsnap service shut down cleanly", flush=True)

@@ -46,9 +46,9 @@ class Registry(Generic[T]):
     method:
         Name of the method every registered object must implement
         (``"sweep_angle"``, ``"execute_iter"``; ``"__call__"`` for plain
-        callables).  Enables :meth:`register` and :meth:`get`; registries of
-        passive records (solvers, benchmark cases) leave it ``None`` and use
-        :meth:`add` / :meth:`resolve` directly.
+        callables such as benchmark cases).  Enables :meth:`register` and
+        :meth:`get`; registries of passive records (solvers) leave it
+        ``None`` and use :meth:`add` / :meth:`resolve` directly.
     hint:
         Optional sentence appended to the :meth:`check` error (how to
         implement ``method``, what it replaced).

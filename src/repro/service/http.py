@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
@@ -81,9 +82,14 @@ _MAX_LONG_POLL = 30.0
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` carrying the daemon and the guards."""
+    """A :class:`ThreadingHTTPServer` carrying the daemon and the guards.
 
-    daemon_threads = True  # handler threads must not outlive a shutdown
+    Handler threads are daemonic, so a stuck client cannot keep the process
+    alive; :meth:`drain` is the bounded wait a clean shutdown gives the
+    in-flight responses to finish writing.
+    """
+
+    daemon_threads = True
 
     def __init__(
         self,
@@ -96,7 +102,28 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         self.service = daemon
         self.max_body_bytes = max_body_bytes
         self.quiet = quiet
+        self._in_flight = 0
+        self._idle = threading.Condition()
         super().__init__(address, _ServiceHandler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._idle:
+            self._in_flight += 1
+        super().process_request(request, client_address)
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._idle:
+                self._in_flight -= 1
+                self._idle.notify_all()
+
+    def drain(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for every accepted request to be
+        answered; ``False`` if some are still in flight at the deadline."""
+        with self._idle:
+            return self._idle.wait_for(lambda: self._in_flight == 0, timeout)
 
     @property
     def port(self) -> int:

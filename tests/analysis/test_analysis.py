@@ -49,6 +49,13 @@ class TestTable2:
             per_order.setdefault(r.order, []).append(r.assemble_solve_seconds)
         assert min(per_order[2]) > min(per_order[1])
 
+    def test_solve_fraction_grows_with_order(self, rows):
+        # Paper shape: the share of time in the local solve grows with order
+        # (34 % -> ~74-87 %).  Checked on the GE path, whose margin holds at
+        # these sizes; the LAPACK fractions of orders 1 and 2 sit within noise.
+        fraction = {r.order: r.solve_fraction for r in rows if r.solver == "ge"}
+        assert fraction[2] > fraction[1]
+
     def test_as_tuple_formatting(self, rows):
         tup = rows[0].as_tuple()
         assert tup[0] == 1 and tup[1] in ("ge", "lapack")
@@ -64,6 +71,14 @@ class TestFdVsFem:
         assert report["mean_relative_flux_difference"] < 0.05
         assert report["fem_memory_ratio"] == 8.0
         assert report["fem_to_fd_work_ratio"] > 10.0
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_memory_ratio_grows_with_order(self, order):
+        spec = ProblemSpec(nx=2, ny=2, nz=2, order=order, angles_per_octant=1, num_groups=1)
+        assert spec.nodes_per_element == (order + 1) ** 3
+        assert spec.angular_flux_bytes() == (
+            8 * spec.num_cells * spec.num_angles * (order + 1) ** 3
+        )
 
 
 class TestFigures:
@@ -88,10 +103,27 @@ class TestFigures:
         fastest = fig3.fastest_at(56)
         assert "element" in fastest and "*group*" in fastest
 
+    def test_element_major_layout_wins_for_linear(self, fig3):
+        # Section IV-A.1: angle/element/group beats angle/group/element.
+        def group_major(label):
+            return label.startswith("angle/*group*") or label.startswith("angle/group")
+
+        elem = min(v[-1] for k, v in fig3.series.items() if not group_major(k))
+        group = min(v[-1] for k, v in fig3.series.items() if group_major(k))
+        assert elem < group
+
+    def test_collapse_fastest_at_56_for_cubic(self, fig4):
+        fastest = fig4.fastest_at(56)
+        assert "*element*" in fastest and "*group*" in fastest
+
+    def test_all_cubic_schemes_speed_up(self, fig4):
+        for label, values in fig4.series.items():
+            assert values[0] > values[-1], label
+
     def test_cubic_much_slower_than_linear(self, fig3, fig4):
         best3 = min(v[-1] for v in fig3.series.values())
         best4 = min(v[-1] for v in fig4.series.values())
-        assert best4 > 10 * best3
+        assert best4 > 20 * best3
 
     def test_group_major_layout_penalty_larger_for_linear(self, fig3, fig4):
         # Section IV-A.2: the angle/group/element layout is only competitive

@@ -310,6 +310,31 @@ class TestLongPoll:
         assert client.wait(job_id, timeout=30.0)["state"] == DONE
         assert len(paths) == 1 and "?wait=" in paths[0]
 
+    def test_drain_counts_every_concurrent_request(self, gateway):
+        server, _daemon = gateway
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(16)
+
+            def hammer():
+                client = ServiceClient(port=server.port)
+                barrier.wait(timeout=10)
+                for _ in range(5):
+                    client.healthz()
+
+            threads = [threading.Thread(target=hammer) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        # A lost update of the in-flight count would leave it non-zero.
+        assert server.drain(timeout=10)
+        assert server._in_flight == 0
+
     def test_sigint_with_a_long_poll_in_flight_exits_zero(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH", "")) if p)
@@ -329,7 +354,7 @@ class TestLongPoll:
                 try:
                     outcome.append(client._request("GET", f"/jobs/{job_id}?wait=30"))
                 except (OSError, HTTPException) as exc:
-                    outcome.append(exc)  # the process exited mid-answer
+                    outcome.append(exc)  # a truncated answer: fails below
 
             poller = threading.Thread(target=long_poll, daemon=True)
             poller.start()
@@ -339,7 +364,10 @@ class TestLongPoll:
             assert proc.wait(timeout=60) == 0
             assert "shut down cleanly" in proc.stdout.read()
             poller.join(timeout=10)
-            assert len(outcome) == 1
+            # The shutdown lets the running job finish and the long-poll
+            # answer with its complete, terminal body before the exit.
+            assert len(outcome) == 1 and isinstance(outcome[0], dict), outcome
+            assert outcome[0]["id"] == job_id and outcome[0]["state"] == DONE
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -1,32 +1,25 @@
-"""Registry-coverage guard: nothing registered escapes the proof surfaces.
+"""Registry-coverage guard: nothing registered escapes the conformance matrix.
 
-The conformance matrix, the MMS engine-independence check and the bench
-smoke job are only as good as their discovery: an engine (or driver, or
-campaign backend) registered without appearing in them would ship unproven.
-These tests pin the wiring:
+The conformance matrix and the MMS engine-independence check are only as
+good as their discovery: an engine (or solver, or campaign backend)
+registered without appearing in them would ship unproven.  These tests pin
+the wiring:
 
 * the conformance matrix defaults cover *every* registered engine, solver
   and backend (checked against a stubbed study runner, so the full default
   matrix -- including process/distributed backends -- is asserted without
   paying for real runs);
 * a real serial-backend conformance pass covers all engines x solvers and
-  passes;
-* ``bench engine-sweep`` samples exactly ``available_engines()``, and every
-  non-default driver has a dedicated ``driver-*`` bench case;
-* ``study-backends`` measures every in-process backend (the distributed
-  backend is excluded by design and measured by ``distributed-overhead``).
+  passes.
 
-Registering something new without extending the matrix/bench surface makes
-one of these fail by construction -- that is the point.
+Registering something new without extending the matrix makes one of these
+fail by construction -- that is the point.
 """
 
 from __future__ import annotations
 
-from repro.bench.registry import available_benchmarks
-from repro.bench.workload import BenchWorkload
 from repro.campaign.backends import available_backends
 from repro.config import ProblemSpec
-from repro.drivers import available_drivers
 from repro.engines import available_engines
 from repro.solvers import available_solvers
 from repro.verify.conformance import conformance_matrix
@@ -68,40 +61,3 @@ class TestConformanceCoverage:
         assert report.passed, report.summary() if hasattr(report, "summary") else report
         covered = {case.engine for case in report.cases}
         assert covered == set(available_engines())
-
-
-class TestBenchCoverage:
-    def test_engine_sweep_samples_every_engine(self):
-        from repro.bench.cases import bench_engine_sweep
-
-        workload = BenchWorkload(
-            n=3, angles_per_octant=1, num_groups=2, sweeps=1, repeats=1,
-            warmup=0, smoke=True,
-        )
-        samples = bench_engine_sweep(workload)
-        assert set(samples) == set(available_engines())
-        for engine, sample in samples.items():
-            assert sample["systems_solved"] > 0, engine
-
-    def test_every_driver_has_a_bench_case(self):
-        names = set(available_benchmarks())
-        for driver in available_drivers():
-            if driver == "fixed_source":
-                # The default driver is what every kernel/scaling case runs.
-                continue
-            expected = f"driver-{driver.replace('_', '-')}"
-            assert expected in names, (
-                f"driver {driver!r} registered without a bench case "
-                f"(expected {expected!r})"
-            )
-
-    def test_study_backends_case_measures_every_inprocess_backend(self):
-        from repro.bench.cases import bench_study_backends
-
-        workload = BenchWorkload(
-            n=2, angles_per_octant=1, num_groups=1, sweeps=1, repeats=1,
-            warmup=0, jobs=1, smoke=True,
-        )
-        samples = bench_study_backends(workload)
-        expected = set(available_backends()) - {"distributed"}
-        assert set(samples) == expected
