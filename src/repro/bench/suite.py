@@ -165,6 +165,10 @@ class SampleStats:
     seconds: tuple[float, ...]
     metrics: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not self.seconds:
+            raise ValueError(f"sample {self.name!r} has no measurements")
+
     @property
     def best(self) -> float:
         return min(self.seconds)

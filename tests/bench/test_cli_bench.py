@@ -43,6 +43,29 @@ class TestBenchCommand:
         sizes = {s["name"]: s["metrics"]["matrix_size"] for s in case["samples"]}
         assert sizes == {"order-1": 8, "order-2": 27}
 
+    def test_list_shows_each_cases_tags(self, capsys):
+        assert run_cli("bench", "--list") == 0
+        rows = {
+            line.split("|")[0].strip(): line.split("|")[1]
+            for line in capsys.readouterr().out.splitlines()[3:]
+        }
+        assert "scaling" in rows["block-jacobi-ranks"]
+        assert "distributed" in rows["distributed-overhead"]
+
+    def test_tag_filter_runs_only_the_tagged_case(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert run_cli("bench", "--smoke", "--filter", "setup", "--json", str(path)) == 0
+        captured = capsys.readouterr()
+        assert "bench matrix-setup [kernel, setup]" in captured.err
+        assert "smoke tier" in captured.out and "matrix-setup [kernel, setup]" in captured.out
+        assert [case["name"] for case in json.loads(path.read_text())["cases"]] == [CASE]
+
+    def test_without_json_only_prints(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("bench", "--smoke", "--filter", CASE) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_filter_is_a_clean_error(self, capsys):
         assert run_cli("bench", "--filter", "warp-drive") == 2
         assert "unknown benchmark filter" in capsys.readouterr().err

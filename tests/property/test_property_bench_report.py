@@ -1,11 +1,11 @@
-"""Property-based tests (hypothesis): unsnap-bench-v1 schema round-trips."""
+"""Property-based tests (hypothesis): the bench report's JSON artefact."""
 
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import BenchReport, BenchWorkload, compare_reports
-from repro.bench.report import CaseReport, SampleStats
+from repro.bench import BenchReport, BenchWorkload, CaseReport, SampleStats, run_case
+from repro.bench.suite import _benchmarks, register_benchmark
 
 # ------------------------------------------------------------------ strategies
 #: Positive finite doubles; JSON serialises doubles exactly, so arbitrary
@@ -53,7 +53,6 @@ def bench_workloads(draw):
         n=draw(st.integers(min_value=1, max_value=32)),
         angles_per_octant=draw(st.integers(min_value=1, max_value=8)),
         num_groups=draw(st.integers(min_value=1, max_value=16)),
-        sweeps=draw(st.integers(min_value=1, max_value=5)),
         jobs=draw(st.integers(min_value=1, max_value=8)),
         repeats=draw(st.integers(min_value=1, max_value=5)),
         warmup=draw(st.integers(min_value=0, max_value=3)),
@@ -78,7 +77,14 @@ def bench_reports(draw):
 @settings(max_examples=50, deadline=None)
 @given(report=bench_reports())
 def test_dict_round_trip_is_identity(report):
-    assert BenchReport.from_dict(report.to_dict()).to_dict() == report.to_dict()
+    """Every case and sample the dict lists is the one the lookups return."""
+    data = report.to_dict()
+    assert [case["name"] for case in data["cases"]] == [case.name for case in report.cases]
+    for case in data["cases"]:
+        for sample in case["samples"]:
+            stats = report.case(case["name"]).sample(sample["name"])
+            assert stats.to_dict() == sample
+            assert tuple(sample["seconds"]) == stats.seconds
 
 
 @settings(max_examples=50, deadline=None)
@@ -86,7 +92,7 @@ def test_dict_round_trip_is_identity(report):
 def test_json_round_trip_is_identity(report):
     """Through actual JSON text: doubles and structure survive exactly."""
     text = json.dumps(report.to_dict())
-    assert BenchReport.from_dict(json.loads(text)).to_dict() == report.to_dict()
+    assert json.loads(text) == report.to_dict()
 
 
 @settings(max_examples=50, deadline=None)
@@ -94,18 +100,41 @@ def test_json_round_trip_is_identity(report):
 def test_save_load_round_trip(report, tmp_suffix, tmp_path_factory):
     path = tmp_path_factory.mktemp("bench") / f"report-{tmp_suffix}.json"
     report.save(path)
-    assert BenchReport.load(path).to_dict() == report.to_dict()
+    assert json.loads(path.read_text()) == report.to_dict()
 
 
 @settings(max_examples=50, deadline=None)
-@given(report=bench_reports())
-def test_self_compare_always_passes(report):
-    comparison = compare_reports(report, report)
-    assert comparison.verdict == "pass"
-    assert not comparison.missing and not comparison.new
+@given(sample=sample_stats())
+def test_statistics_are_ordered(sample):
+    stats = sample.to_dict()
+    assert stats["best"] <= stats["mean"] * (1 + 1e-12)
+    assert stats["mean"] <= stats["max"] * (1 + 1e-12)
+    assert stats["best"] in sample.seconds and stats["max"] in sample.seconds
 
 
 @settings(max_examples=50, deadline=None)
 @given(workload=bench_workloads())
 def test_workload_round_trip(workload):
-    assert BenchWorkload.from_dict(workload.to_dict()) == workload
+    assert BenchWorkload(**workload.to_dict()) == workload
+
+
+@settings(max_examples=25, deadline=None)
+@given(warmup=st.integers(min_value=0, max_value=3),
+       repeats=st.integers(min_value=1, max_value=4))
+def test_run_case_keeps_exactly_the_measured_repeats(warmup, repeats):
+    calls = []
+
+    def bench_count(workload):
+        calls.append(None)
+        return {"only": {"seconds": float(len(calls))}}
+
+    register_benchmark("property-count-case")(bench_count)
+    try:
+        case = run_case(_benchmarks.resolve("property-count-case"),
+                        BenchWorkload(warmup=warmup, repeats=repeats))
+    finally:
+        _benchmarks.remove("property-count-case")
+    assert len(calls) == warmup + repeats
+    assert case.sample("only").seconds == tuple(
+        float(i) for i in range(warmup + 1, warmup + repeats + 1)
+    )

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -334,6 +335,23 @@ class TestLongPoll:
         # A lost update of the in-flight count would leave it non-zero.
         assert server.drain(timeout=10)
         assert server._in_flight == 0
+
+    def test_drain_gives_up_at_its_deadline(self, gateway):
+        server, _daemon = gateway
+        # A client that connects and never sends its request line keeps one
+        # handler thread in flight until it hangs up.
+        stalled = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+        try:
+            deadline = time.monotonic() + 10
+            while server._in_flight == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._in_flight == 1
+            started = time.monotonic()
+            assert not server.drain(timeout=0.2)
+            assert time.monotonic() - started < 5
+        finally:
+            stalled.close()
+        assert server.drain(timeout=10)
 
     def test_sigint_with_a_long_poll_in_flight_exits_zero(self, tmp_path):
         env = dict(os.environ)
